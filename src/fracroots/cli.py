@@ -8,6 +8,7 @@ Results print as a table or go to csv/jsonl with full-precision fields.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -158,32 +159,15 @@ def _record_from_values(row: dict[str, object]) -> RootRecord:
 
 
 def write_records_csv(fh: TextIO, records: Sequence[RootRecord]) -> None:
-    if not records:
-        fh.write(",".join(_BASE_FIELDS) + "\n")
-        return
-    fields = _record_fields(records[0].root.shape[0])
-    fh.write(",".join(fields) + "\n")
-    for rec in records:
-        row = _record_values(rec)
-        fh.write(",".join(_csv_cell(row[f]) for f in fields) + "\n")
-
-
-def _csv_cell(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    # the columns come from the first record; wider records are cut to them
+    fields = _record_fields(records[0].root.shape[0] if records else 0)
+    writer = csv.DictWriter(fh, fields, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(_record_values(rec) for rec in records)
 
 
 def read_records_csv(fh: TextIO) -> list[RootRecord]:
-    lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        return []
-    fields = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        row = dict(zip(fields, line.split(",")))
-        out.append(_record_from_values(row))
-    return out
+    return [_record_from_values(row) for row in csv.DictReader(fh)]
 
 
 def write_records_jsonl(fh: TextIO, records: Sequence[RootRecord]) -> None:

@@ -15,7 +15,13 @@ from typing import Callable, Sequence
 from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
-from .specfun import beta, binomial, gamma_real, incomplete_beta_regularized
+from .specfun import (
+    _is_nonpositive_integer,
+    beta,
+    binomial,
+    gamma_real,
+    incomplete_beta_regularized,
+)
 
 __all__ = [
     "FracOrder",
@@ -80,10 +86,6 @@ def recip_gamma(x: float) -> float:
         return 1.0 / math.gamma(x)
     except OverflowError:
         return 0.0
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
 
 
 def complex_power(z: complex, w: complex) -> complex:

@@ -160,15 +160,19 @@ def round_iterate(x, m: int) -> np.ndarray:
     return xv
 
 
-def fpn_step(x, f: "TargetFunction", config: FpnConfig) -> np.ndarray:
-    """One update Rnd_m(x - P(x) f(x)).  Evaluation errors propagate."""
-    xv = as_complex_vector(x)
-    fx = as_complex_vector(f.evaluate(xv))
-    p_diag = build_p_matrix(xv, config)
-    y = round_iterate(xv - p_diag * fx, config.round_exponent_m)
+def _advance(x: np.ndarray, fx: np.ndarray, config: FpnConfig) -> np.ndarray:
+    # Rnd_m(x - P(x) f(x)) given f(x); NumericalFailureError on a non-finite
+    # P entry or iterate
+    y = round_iterate(x - build_p_matrix(x, config) * fx, config.round_exponent_m)
     if not _all_finite(y):
         raise NumericalFailureError("iterate contains non-finite components")
     return y
+
+
+def fpn_step(x, f: "TargetFunction", config: FpnConfig) -> np.ndarray:
+    """One update Rnd_m(x - P(x) f(x)).  Evaluation errors propagate."""
+    xv = as_complex_vector(x)
+    return _advance(xv, as_complex_vector(f.evaluate(xv)), config)
 
 
 def fpn_solve(
@@ -209,11 +213,8 @@ def fpn_solve(
 
     for i in range(1, config.max_iter + 1):
         try:
-            p_diag = build_p_matrix(x, config)
+            y = _advance(x, fx, config)
         except NumericalFailureError:
-            return finish(SolveStatus.NumericalFailure, x, i), trace
-        y = round_iterate(x - p_diag * fx, config.round_exponent_m)
-        if not _all_finite(y):
             return finish(SolveStatus.NumericalFailure, x, i), trace
         step = _l2(y - x)
         try:

@@ -1,14 +1,17 @@
 """Real and complex special functions: gamma, log-gamma, beta, incomplete beta,
 binomial coefficients.
 
-Everything here is a pure function; the binomial table is immutable after
-import.
+Everything here is a pure function.  The values come from scipy.special
+(log-gamma, regularized incomplete beta) and the stdlib (math.gamma,
+math.comb); this module adds the domain checks, the pole errors and the
+branch convention on the negative real axis.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+
+from scipy.special import betainc, loggamma
 
 from .errors import DomainError, PoleError
 
@@ -20,22 +23,6 @@ __all__ = [
     "incomplete_beta_regularized",
     "binomial",
 ]
-
-_LOG_TWO_PI = math.log(2.0 * math.pi)
-
-# Lanczos approximation, g = 7, 9 coefficients (Godfrey's set); ~1e-15
-# relative accuracy on Re(z) >= 0.5.
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _MAX_BINOMIAL_ROW = 60
 
@@ -58,33 +45,19 @@ def gamma_real(x: float) -> float:
     return math.gamma(x)
 
 
-def _lanczos_log_gamma(z: complex) -> complex:
-    # valid for Re(z) >= 0.5; real on the positive axis, hence principal
-    w = z - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[i] / (w + i)
-    t = w + 7.5
-    return 0.5 * _LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(series)
-
-
 def log_gamma_complex(z: complex) -> complex:
     """Principal value of log Gamma on the cut plane C minus (-inf, 0].
 
-    For Re(z) < 0.5 the argument is shifted right with the exact recurrence
-    logGamma(z) = logGamma(z+1) - log(z), which preserves the principal
-    determination.  Points on the negative real axis use the Im -> +0 side.
+    Points on the negative real axis use the Im -> +0 side: a zero imaginary
+    part is passed on as +0.0, because scipy puts Im = -0.0 on the other side
+    of the cut.
     """
     z = complex(z)
-    if z.imag == 0.0 and _is_nonpositive_integer(z.real):
-        raise PoleError(f"log gamma has a pole at {z.real:g}")
-    if z.real >= 0.5:
-        return _lanczos_log_gamma(z)
-    shift = math.ceil(0.5 - z.real)
-    acc = 0.0 + 0.0j
-    for j in range(shift):
-        acc += cmath.log(z + j)
-    return _lanczos_log_gamma(z + shift) - acc
+    if z.imag == 0.0:
+        if _is_nonpositive_integer(z.real):
+            raise PoleError(f"log gamma has a pole at {z.real:g}")
+        z = complex(z.real, 0.0)
+    return complex(loggamma(z))
 
 
 def beta(p: float, q: float) -> float:
@@ -96,53 +69,11 @@ def beta(p: float, q: float) -> float:
     return math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    # Continued fraction for the regularized incomplete beta (modified
-    # Lentz), convergent for x < (a+1)/(a+b+2).
-    fpmin = 1e-300
-    eps = 1e-14
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge for a={a}, b={b}, x={x}"
-    )
-
-
 def incomplete_beta_regularized(r: float, p: float, q: float) -> float:
     """Regularized incomplete beta I_r(p, q) = B_r(p, q) / B(p, q).
 
-    Uses the continued fraction with the symmetry switch at
-    r = (p+1)/(p+q+2).
+    Values come from scipy.special.betainc; r = 0 and r = 1 give exact 0
+    and 1.
     """
     if not (p > 0.0 and q > 0.0):
         raise DomainError(f"incomplete beta requires p, q > 0, got p={p!r}, q={q!r}")
@@ -152,15 +83,7 @@ def incomplete_beta_regularized(r: float, p: float, q: float) -> float:
         return 0.0
     if r == 1.0:
         return 1.0
-    ln_front = (
-        p * math.log(r)
-        + q * math.log1p(-r)
-        - (math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
-    )
-    front = math.exp(ln_front)
-    if r < (p + 1.0) / (p + q + 2.0):
-        return front * _beta_cont_frac(p, q, r) / p
-    return 1.0 - front * _beta_cont_frac(q, p, 1.0 - r) / q
+    return float(betainc(p, q, r))
 
 
 def incomplete_beta(r: float, p: float, q: float) -> float:
@@ -168,19 +91,12 @@ def incomplete_beta(r: float, p: float, q: float) -> float:
     return incomplete_beta_regularized(r, p, q) * beta(p, q)
 
 
-def _build_pascal(limit: int) -> tuple[tuple[int, ...], ...]:
-    rows = [(1,)]
-    for _ in range(limit):
-        prev = rows[-1]
-        rows.append((1, *[prev[j - 1] + prev[j] for j in range(1, len(prev))], 1))
-    return tuple(rows)
-
-
-_PASCAL = _build_pascal(_MAX_BINOMIAL_ROW)
-
-
 def binomial(m: int, p: int) -> int:
-    """Exact binomial coefficient C(m, p) for 0 <= p <= m <= 60."""
+    """Exact binomial coefficient C(m, p) for 0 <= p <= m <= 60.
+
+    The cap keeps every C(m, p) / 2^(m+1) exact in 80-bit extended precision,
+    which hasse_zeta relies on.
+    """
     if m != int(m) or p != int(p):
         raise DomainError(f"binomial requires integer arguments, got m={m!r}, p={p!r}")
     m = int(m)
@@ -188,5 +104,5 @@ def binomial(m: int, p: int) -> int:
     if p < 0 or m < 0 or p > m:
         raise DomainError(f"binomial requires 0 <= p <= m, got m={m}, p={p}")
     if m > _MAX_BINOMIAL_ROW:
-        raise DomainError(f"binomial table is capped at m={_MAX_BINOMIAL_ROW}, got m={m}")
-    return _PASCAL[m][p]
+        raise DomainError(f"binomial is capped at m={_MAX_BINOMIAL_ROW}, got m={m}")
+    return math.comb(m, p)

@@ -54,25 +54,11 @@ class TargetFunction:
     truncation_k: int | None = None
 
 
-def _compensated_complex_sum(terms: Iterable[complex]) -> complex:
-    # Neumaier accumulation on both components; the alternating series here
-    # have intermediate terms up to ~1e11 at the outer roots.
-    sr = cr = si = ci = 0.0
-    for t in terms:
-        tr, ti = t.real, t.imag
-        u = sr + tr
-        if abs(sr) >= abs(tr):
-            cr += (sr - u) + tr
-        else:
-            cr += (tr - u) + sr
-        sr = u
-        v = si + ti
-        if abs(si) >= abs(ti):
-            ci += (si - v) + ti
-        else:
-            ci += (ti - v) + si
-        si = v
-    return complex(sr + cr, si + ci)
+def _complex_fsum(terms: Iterable[complex]) -> complex:
+    # correctly rounded sum of each component; the alternating series here
+    # have intermediate terms up to ~1e11 at the outer roots
+    ts = list(terms)
+    return complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts))
 
 
 def _inverse_of_int(denominator: int) -> float:
@@ -107,7 +93,7 @@ def ci_series(k: int) -> TargetFunction:
                 power *= z2
                 yield c * power
 
-        acc = _compensated_complex_sum(terms())
+        acc = _complex_fsum(terms())
         return np.array([-EULER_MASCHERONI - cmath.log(z) - acc], dtype=np.complex128)
 
     return TargetFunction("ci", 1, _eval, truncation_k=k)
@@ -135,7 +121,7 @@ def si_series(k: int) -> TargetFunction:
                 power *= z2
                 yield c * power
 
-        acc = _compensated_complex_sum(terms())
+        acc = _complex_fsum(terms())
         return np.array([0.5 * math.pi - acc], dtype=np.complex128)
 
     return TargetFunction("si", 1, _eval, truncation_k=k)

@@ -69,6 +69,26 @@ class TestSerialization:
         header = buf.getvalue().splitlines()[0]
         assert header == "alpha,status,iterations,step_norm,residual_norm,root_re_0,root_im_0"
 
+    def test_csv_exact_bytes(self):
+        rec = RootRecord(
+            alpha=0.25,
+            root=np.array([complex(-0.0, 1e-300), complex(math.inf, math.nan)]),
+            step_norm=math.inf,
+            residual_norm=math.nan,
+            iterations=7,
+            status=SolveStatus.NumericalFailure,
+        )
+        buf = io.StringIO()
+        write_records_csv(buf, [rec])
+        assert buf.getvalue() == (
+            "alpha,status,iterations,step_norm,residual_norm,"
+            "root_re_0,root_im_0,root_re_1,root_im_1\n"
+            "0.25,NumericalFailure,7,inf,nan,-0.0,1e-300,inf,nan\n"
+        )
+        empty = io.StringIO()
+        write_records_csv(empty, [])
+        assert empty.getvalue() == "alpha,status,iterations,step_norm,residual_norm\n"
+
     def test_jsonl_fields(self):
         buf = io.StringIO()
         write_records_jsonl(buf, make_records())

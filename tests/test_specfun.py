@@ -91,6 +91,11 @@ class TestLogGammaComplex:
             ref = complex(mp.loggamma(mp.mpc(z)))
             assert abs(log_gamma_complex(z) - ref) <= 1e-12 * max(abs(ref), 1.0)
 
+    @pytest.mark.parametrize("x", [-0.5, -2.5, -25.7])
+    def test_negative_axis_uses_upper_side_for_both_zeros(self, x):
+        # scipy.special.loggamma puts Im = -0.0 below the cut
+        assert log_gamma_complex(complex(x, -0.0)) == log_gamma_complex(complex(x, 0.0))
+
     @pytest.mark.parametrize("z", [0j, -1 + 0j, -6 + 0j])
     def test_poles(self, z):
         with pytest.raises(PoleError):
