@@ -159,15 +159,24 @@ def _record_from_values(row: dict[str, object]) -> RootRecord:
 
 
 def write_records_csv(fh: TextIO, records: Sequence[RootRecord]) -> None:
-    # the columns come from the first record; wider records are cut to them
-    fields = _record_fields(records[0].root.shape[0] if records else 0)
-    writer = csv.DictWriter(fh, fields, extrasaction="ignore", lineterminator="\n")
+    # the columns are the widest record's; a narrower record leaves both
+    # cells of each component it lacks empty
+    fields = _record_fields(max((rec.root.shape[0] for rec in records), default=0))
+    writer = csv.DictWriter(fh, fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(_record_values(rec) for rec in records)
 
 
 def read_records_csv(fh: TextIO) -> list[RootRecord]:
-    return [_record_from_values(row) for row in csv.DictReader(fh)]
+    records = []
+    for row in csv.DictReader(fh):
+        # trailing empty root pairs are components this record does not have
+        dim = sum(1 for key in row if key.startswith("root_re_"))
+        while dim and row[f"root_re_{dim - 1}"] == row[f"root_im_{dim - 1}"] == "":
+            dim -= 1
+            del row[f"root_re_{dim}"], row[f"root_im_{dim}"]
+        records.append(_record_from_values(row))
+    return records
 
 
 def write_records_jsonl(fh: TextIO, records: Sequence[RootRecord]) -> None:

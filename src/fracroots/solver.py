@@ -8,6 +8,7 @@ finds many roots from one initial condition.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -112,13 +113,25 @@ def as_complex_vector(x) -> np.ndarray:
     return v
 
 
-def _all_finite(v: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(v.view(np.float64))))
+def _target_vector(fx) -> np.ndarray:
+    # as_complex_vector, skipped on the 1-d complex128 arrays targets return
+    if type(fx) is np.ndarray and fx.dtype == np.complex128 and fx.ndim == 1:
+        return fx
+    return as_complex_vector(fx)
+
+
+def _all_finite(zs: list[complex]) -> bool:
+    return all(map(cmath.isfinite, zs))
 
 
 def _l2(v: np.ndarray) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(v))
+    """Euclidean norm of a 1-d complex vector, bitwise equal to
+    np.linalg.norm(v): the same two dot products, summed as Python floats.
+    Like np.linalg.norm it warns when a dot product overflows, unless called
+    under np.errstate(over="ignore") as the solve loop does."""
+    re = v.real
+    im = v.imag
+    return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
 
 
 def beta_exponent(alpha: float, z: complex) -> float:
@@ -127,52 +140,62 @@ def beta_exponent(alpha: float, z: complex) -> float:
     return alpha if complex(z) != 0 else 1.0
 
 
+def _p_entries(zs: list[complex], alpha: float, rg: float, epsilon: float) -> np.ndarray:
+    # build_p_matrix on components zs, with rg = 1/Gamma(1 - alpha)
+    entries = []
+    for k, z in enumerate(zs):
+        if z == 0:  # beta_exponent is 1 here
+            entries.append(epsilon)
+            continue
+        try:
+            entries.append(rg * complex_power(z, -alpha) + epsilon)
+        except OverflowError as exc:
+            raise NumericalFailureError(f"P-matrix entry overflowed at component {k}") from exc
+    if not _all_finite(entries):
+        raise NumericalFailureError("P-matrix contains non-finite entries")
+    return np.array(entries, dtype=np.complex128)
+
+
 def build_p_matrix(x, config: FpnConfig) -> np.ndarray:
     """Diagonal of P evaluated at x: z^(-beta)/Gamma(1-beta) + epsilon per
     component, collapsing to plain epsilon on zero components."""
-    xv = as_complex_vector(x)
-    rg = recip_gamma(1.0 - config.alpha)
-    entries = np.empty(xv.shape[0], dtype=np.complex128)
-    for k in range(xv.shape[0]):
-        zk = complex(xv[k])
-        if beta_exponent(config.alpha, zk) == 1.0:
-            entries[k] = config.epsilon
-        else:
-            try:
-                entries[k] = rg * complex_power(zk, -config.alpha) + config.epsilon
-            except OverflowError as exc:
-                raise NumericalFailureError(
-                    f"P-matrix entry overflowed at component {k}"
-                ) from exc
-    if not _all_finite(entries):
-        raise NumericalFailureError("P-matrix contains non-finite entries")
-    return entries
+    alpha = config.alpha
+    return _p_entries(
+        as_complex_vector(x).tolist(), alpha, recip_gamma(1.0 - alpha), config.epsilon
+    )
+
+
+def _snap(v: np.ndarray, threshold: float) -> None:
+    # in place: zero every imaginary part with magnitude <= threshold
+    v.imag[np.abs(v.imag) <= threshold] = 0.0
 
 
 def round_iterate(x, m: int) -> np.ndarray:
     """Snap components with |Im| <= 10^-m onto the real axis; idempotent."""
     xv = as_complex_vector(x).copy()
-    threshold = 10.0 ** (-m)
-    for k in range(xv.shape[0]):
-        zk = complex(xv[k])
-        if abs(zk.imag) <= threshold:
-            xv[k] = complex(zk.real, 0.0)
+    _snap(xv, 10.0 ** (-m))
     return xv
 
 
-def _advance(x: np.ndarray, fx: np.ndarray, config: FpnConfig) -> np.ndarray:
-    # Rnd_m(x - P(x) f(x)) given f(x); NumericalFailureError on a non-finite
-    # P entry or iterate
-    y = round_iterate(x - build_p_matrix(x, config) * fx, config.round_exponent_m)
-    if not _all_finite(y):
+def _advance(
+    x: np.ndarray, p: np.ndarray, fx: np.ndarray, threshold: float
+) -> tuple[np.ndarray, list[complex]]:
+    # Rnd_m(x - P f(x)) and its components; NumericalFailureError on a
+    # non-finite iterate
+    y = x - p * fx
+    _snap(y, threshold)
+    zs = y.tolist()
+    if not _all_finite(zs):
         raise NumericalFailureError("iterate contains non-finite components")
-    return y
+    return y, zs
 
 
 def fpn_step(x, f: "TargetFunction", config: FpnConfig) -> np.ndarray:
     """One update Rnd_m(x - P(x) f(x)).  Evaluation errors propagate."""
     xv = as_complex_vector(x)
-    return _advance(xv, as_complex_vector(f.evaluate(xv)), config)
+    fx = as_complex_vector(f.evaluate(xv))
+    y, _ = _advance(xv, build_p_matrix(xv, config), fx, 10.0 ** (-config.round_exponent_m))
+    return y
 
 
 def fpn_solve(
@@ -184,21 +207,35 @@ def fpn_solve(
     Diverged, stalls report MaxIterations, and non-finite arithmetic or
     target evaluation failures report NumericalFailure.
     """
+    trace = IterationTrace()
+    return _solve(f, x0, config, trace), trace
+
+
+def _solve(
+    f: "TargetFunction", x0, config: FpnConfig, trace: IterationTrace | None = None
+) -> RootRecord:
+    # fpn_solve, recording the iterates and norms in trace when one is given
     x = as_complex_vector(x0)
     if x.shape[0] != f.dimension:
         raise DomainError(
             f"initial condition has dimension {x.shape[0]}, target needs {f.dimension}"
         )
-    if not _all_finite(x):
+    zs = x.tolist()
+    if not _all_finite(zs):
         raise DomainError("initial condition must be finite")
 
-    trace = IterationTrace(iterates=[x.copy()])
+    if trace is not None:
+        trace.iterates.append(x.copy())
+    alpha = config.alpha
+    epsilon = config.epsilon
+    rg = recip_gamma(1.0 - alpha)
+    threshold = 10.0 ** (-config.round_exponent_m)
     step = math.inf
     res = math.inf
 
     def finish(status: SolveStatus, root: np.ndarray, iterations: int) -> RootRecord:
         return RootRecord(
-            alpha=config.alpha,
+            alpha=alpha,
             root=root.copy(),
             step_norm=step,
             residual_norm=res,
@@ -206,35 +243,37 @@ def fpn_solve(
             status=status,
         )
 
-    try:
-        fx = as_complex_vector(f.evaluate(x))
-    except (EvaluationError, OverflowError, ZeroDivisionError):
-        return finish(SolveStatus.NumericalFailure, x, 0), trace
-
-    for i in range(1, config.max_iter + 1):
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            y = _advance(x, fx, config)
-        except NumericalFailureError:
-            return finish(SolveStatus.NumericalFailure, x, i), trace
-        step = _l2(y - x)
-        try:
-            fy = as_complex_vector(f.evaluate(y))
+            fx = _target_vector(f.evaluate(x))
         except (EvaluationError, OverflowError, ZeroDivisionError):
-            res = math.inf
-            return finish(SolveStatus.NumericalFailure, y, i), trace
-        res = _l2(fy)
-        trace.iterates.append(y.copy())
-        trace.step_norms.append(step)
-        trace.residual_norms.append(res)
-        if not math.isfinite(res):
-            return finish(SolveStatus.NumericalFailure, y, i), trace
-        if step <= config.tol_step and res <= config.tol_residual:
-            return finish(SolveStatus.Converged, y, i), trace
-        if _l2(y) > config.divergence_bound:
-            return finish(SolveStatus.Diverged, y, i), trace
-        x = y
-        fx = fy
-    return finish(SolveStatus.MaxIterations, x, config.max_iter), trace
+            return finish(SolveStatus.NumericalFailure, x, 0)
+
+        for i in range(1, config.max_iter + 1):
+            try:
+                y, zs = _advance(x, _p_entries(zs, alpha, rg, epsilon), fx, threshold)
+            except NumericalFailureError:
+                return finish(SolveStatus.NumericalFailure, x, i)
+            step = _l2(y - x)
+            try:
+                fy = _target_vector(f.evaluate(y))
+            except (EvaluationError, OverflowError, ZeroDivisionError):
+                res = math.inf
+                return finish(SolveStatus.NumericalFailure, y, i)
+            res = _l2(fy)
+            if trace is not None:
+                trace.iterates.append(y.copy())
+                trace.step_norms.append(step)
+                trace.residual_norms.append(res)
+            if not math.isfinite(res):
+                return finish(SolveStatus.NumericalFailure, y, i)
+            if step <= config.tol_step and res <= config.tol_residual:
+                return finish(SolveStatus.Converged, y, i)
+            if _l2(y) > config.divergence_bound:
+                return finish(SolveStatus.Diverged, y, i)
+            x = y
+            fx = fy
+    return finish(SolveStatus.MaxIterations, x, config.max_iter)
 
 
 def estimate_convergence_order(trace: IterationTrace) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .solver import FpnConfig, RootRecord, SolveStatus, as_complex_vector, fpn_solve
+from .solver import FpnConfig, RootRecord, SolveStatus, _l2, _solve, as_complex_vector
 from .targets import TargetFunction
 
 __all__ = ["AlphaGrid", "UniqueRoot", "SweepReport", "run_sweep", "stability_probe"]
@@ -77,7 +77,7 @@ def _cluster_converged(records: list[RootRecord], cluster_tol: float) -> list[Un
         best_j = -1
         best_dist = math.inf
         for j, rep in enumerate(reps):
-            d = float(np.linalg.norm(rec.root - rep))
+            d = _l2(rec.root - rep)
             if d < best_dist:
                 best_dist = d
                 best_j = j
@@ -111,8 +111,7 @@ def run_sweep(
     records = []
     for alpha in grid.values():
         config = dataclasses.replace(base_config, alpha=alpha)
-        record, _ = fpn_solve(f, x0v, config)
-        records.append(record)
+        records.append(_solve(f, x0v, config))
     return SweepReport(records=records, unique_roots=_cluster_converged(records, cluster_tol))
 
 

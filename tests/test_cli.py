@@ -89,6 +89,26 @@ class TestSerialization:
         write_records_csv(empty, [])
         assert empty.getvalue() == "alpha,status,iterations,step_norm,residual_norm\n"
 
+    @pytest.mark.parametrize("two_first", [True, False])
+    def test_csv_round_trip_mixed_dimensions(self, two_first):
+        one = make_records()[0]
+        two = RootRecord(
+            alpha=0.75,
+            root=np.array([complex(0.25, -0.0), complex(-1.5, 2.0)]),
+            step_norm=1e-7,
+            residual_norm=math.nan,
+            iterations=12,
+            status=SolveStatus.Converged,
+        )
+        records = [two, one] if two_first else [one, two]
+        buf = io.StringIO()
+        write_records_csv(buf, records)
+        assert buf.getvalue().splitlines()[0].endswith(",root_re_1,root_im_1")
+        buf.seek(0)
+        parsed = read_records_csv(buf)
+        assert [r.root.shape for r in parsed] == [r.root.shape for r in records]
+        assert all(records_equal(a, b) for a, b in zip(records, parsed))
+
     def test_jsonl_fields(self):
         buf = io.StringIO()
         write_records_jsonl(buf, make_records())

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracroots.errors import DomainError, EvaluationError, InsufficientDataError, NumericalFailureError
-from fracroots.fracderiv import FracOrder, rl_deriv_constant
+from fracroots.fracderiv import FracOrder, complex_power, recip_gamma, rl_deriv_constant
 from fracroots.solver import (
     FpnConfig,
     IterationTrace,
+    RootRecord,
     SolveStatus,
+    _l2,
     beta_exponent,
     build_p_matrix,
     estimate_convergence_order,
@@ -18,7 +23,8 @@ from fracroots.solver import (
     fpn_step,
     round_iterate,
 )
-from fracroots.targets import TargetFunction, ci_series, polynomial
+from fracroots.sweep import AlphaGrid, run_sweep
+from fracroots.targets import TargetFunction, ci_series, make_target, polynomial
 
 
 def vec(*zs):
@@ -282,3 +288,173 @@ class TestFixedPointProperty:
         residual = float(np.linalg.norm(f.evaluate(vec(root))))
         bound = max(residual, 1e-15) * float(np.max(np.abs(p_diag))) + 1e-14
         assert float(np.linalg.norm(out - round_iterate(vec(root), cfg.round_exponent_m))) <= bound
+
+
+# --- reference loop -----------------------------------------------------------
+# The solver loop with its per-iteration bookkeeping written out plainly: one
+# np.linalg.norm per norm, P entries and rounding component by component, and
+# 1/Gamma(1 - alpha) recomputed on every iteration.  The solver must reproduce
+# it bit for bit.
+
+
+def _ref_all_finite(v):
+    return bool(np.all(np.isfinite(v.view(np.float64))))
+
+
+def _ref_l2(v):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(v))
+
+
+def _ref_p_matrix(x, config):
+    rg = recip_gamma(1.0 - config.alpha)
+    entries = np.empty(x.shape[0], dtype=np.complex128)
+    for k in range(x.shape[0]):
+        zk = complex(x[k])
+        if beta_exponent(config.alpha, zk) == 1.0:
+            entries[k] = config.epsilon
+        else:
+            try:
+                entries[k] = rg * complex_power(zk, -config.alpha) + config.epsilon
+            except OverflowError as exc:
+                raise NumericalFailureError("overflow") from exc
+    if not _ref_all_finite(entries):
+        raise NumericalFailureError("non-finite entry")
+    return entries
+
+
+def _ref_round(x, m):
+    xv = np.array(x, dtype=np.complex128)
+    threshold = 10.0 ** (-m)
+    for k in range(xv.shape[0]):
+        zk = complex(xv[k])
+        if abs(zk.imag) <= threshold:
+            xv[k] = complex(zk.real, 0.0)
+    return xv
+
+
+def _ref_solve(f, x0, config):
+    x = np.atleast_1d(np.asarray(x0, dtype=np.complex128))
+    trace = IterationTrace(iterates=[x.copy()])
+    step = res = math.inf
+
+    def finish(status, root, iterations):
+        record = RootRecord(config.alpha, root.copy(), step, res, iterations, status)
+        return record, trace
+
+    def evaluate(v):
+        return np.atleast_1d(np.asarray(f.evaluate(v), dtype=np.complex128))
+
+    try:
+        fx = evaluate(x)
+    except (EvaluationError, OverflowError, ZeroDivisionError):
+        return finish(SolveStatus.NumericalFailure, x, 0)
+    for i in range(1, config.max_iter + 1):
+        try:
+            y = _ref_round(x - _ref_p_matrix(x, config) * fx, config.round_exponent_m)
+            if not _ref_all_finite(y):
+                raise NumericalFailureError("non-finite iterate")
+        except NumericalFailureError:
+            return finish(SolveStatus.NumericalFailure, x, i)
+        step = _ref_l2(y - x)
+        try:
+            fy = evaluate(y)
+        except (EvaluationError, OverflowError, ZeroDivisionError):
+            res = math.inf
+            return finish(SolveStatus.NumericalFailure, y, i)
+        res = _ref_l2(fy)
+        trace.iterates.append(y.copy())
+        trace.step_norms.append(step)
+        trace.residual_norms.append(res)
+        if not math.isfinite(res):
+            return finish(SolveStatus.NumericalFailure, y, i)
+        if step <= config.tol_step and res <= config.tol_residual:
+            return finish(SolveStatus.Converged, y, i)
+        if _ref_l2(y) > config.divergence_bound:
+            return finish(SolveStatus.Diverged, y, i)
+        x = y
+        fx = fy
+    return finish(SolveStatus.MaxIterations, x, config.max_iter)
+
+
+def _bits(values):
+    # float64 bit patterns, with every NaN as one pattern
+    flat = np.asarray(values, dtype=np.complex128).view(np.float64).ravel().tolist()
+    return ["nan" if math.isnan(v) else struct.pack("<d", v).hex() for v in flat]
+
+
+def _record_bits(rec):
+    return (
+        _bits([rec.alpha, rec.step_norm, rec.residual_norm]),
+        rec.status,
+        rec.iterations,
+        _bits(rec.root),
+    )
+
+
+def _trace_bits(trace):
+    return (
+        [_bits(v) for v in trace.iterates],
+        _bits(trace.step_norms),
+        _bits(trace.residual_norms),
+    )
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize(
+        "target,x0,grid,statuses",
+        [
+            (make_target("ci", k=50), vec(0.018), AlphaGrid(-1.2, 1.2, 0.05),
+             {"Converged", "MaxIterations", "NumericalFailure"}),
+            (make_target("zeta-hasse", k=50), vec(0.5 + 31.51j), AlphaGrid(-1.2, 0.35, 0.05),
+             {"Converged", "MaxIterations", "NumericalFailure"}),
+            (make_target("example3"), vec(0.86, 0.86), AlphaGrid(0.65, 1.3, 0.01),
+             {"Converged", "MaxIterations", "NumericalFailure"}),
+            (polynomial([-1, 0, 0, 0]), vec(2 + 0j), AlphaGrid(-1.5, 1.5, 0.1),
+             {"Diverged"}),
+        ],
+        ids=["ci", "zeta-hasse", "example3", "poly"],
+    )
+    def test_records_and_traces_are_bitwise_equal(self, target, x0, grid, statuses):
+        base = FpnConfig(alpha=0.5)
+        configs = [dataclasses.replace(base, alpha=a) for a in grid.values()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = [_ref_solve(target, x0, c) for c in configs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            swept = run_sweep(target, x0, grid, base).records
+            solved = [fpn_solve(target, x0, c) for c in configs]
+        assert statuses <= {rec.status.name for rec, _ in expected}
+        assert [_record_bits(r) for r in swept] == [_record_bits(r) for r, _ in expected]
+        assert [(_record_bits(r), _trace_bits(t)) for r, t in solved] == [
+            (_record_bits(r), _trace_bits(t)) for r, t in expected
+        ]
+
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e199, max_value=1e201),
+    st.floats(min_value=-1e201, max_value=-1e199),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.sampled_from([s * 10.0 ** -m for s in (1.0, -1.0) for m in range(1, 13)]),
+)
+_EDGE_VECTORS = st.lists(st.builds(complex, _EDGE_FLOATS, _EDGE_FLOATS), min_size=1, max_size=4)
+
+
+class TestBookkeepingProperties:
+    @settings(max_examples=200)
+    @given(_EDGE_VECTORS)
+    def test_l2_matches_linalg_norm(self, zs):
+        v = np.array(zs, dtype=np.complex128)
+        # the solve loop's errstate; a dot product that overflows flags it
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            got = _l2(v)
+        assert _bits([got]) == _bits([_ref_l2(v)])
+
+    @settings(max_examples=200)
+    @given(_EDGE_VECTORS, st.integers(min_value=1, max_value=12))
+    def test_round_iterate_matches_component_loop(self, zs, m):
+        v = np.array(zs, dtype=np.complex128)
+        assert _bits(round_iterate(v, m)) == _bits(_ref_round(v, m))
