@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -194,6 +194,10 @@ def read_records_jsonl(fh: TextIO) -> list[RootRecord]:
 
 # --- output helpers ----------------------------------------------------------
 
+_FORMATS = ("table", "csv", "jsonl")
+_RECORD_WRITERS = {"csv": write_records_csv, "jsonl": write_records_jsonl}
+
+
 def _print_record(rec: RootRecord, out: TextIO) -> None:
     root = ", ".join(format_complex(complex(z)) for z in rec.root)
     out.write(
@@ -203,13 +207,15 @@ def _print_record(rec: RootRecord, out: TextIO) -> None:
 
 
 def _sweep_table(report: SweepReport, out: TextIO) -> None:
-    out.write("alpha      x_n                                  step        residual    n\n")
+    out.write(
+        "alpha      x_n                                  step        residual    n     hits\n"
+    )
     for unique in report.unique_roots:
         best = unique.best_record
         root = ", ".join(format_complex(complex(z)) for z in unique.root)
         out.write(
             f"{best.alpha:<10.5f} {root:<36} {best.step_norm:<11.3e} "
-            f"{best.residual_norm:<11.3e} {best.iterations}\n"
+            f"{best.residual_norm:<11.3e} {best.iterations:<5d} {unique.multiplicity_count}\n"
         )
     converged = sum(1 for r in report.records if r.status is SolveStatus.Converged)
     out.write(
@@ -218,152 +224,120 @@ def _sweep_table(report: SweepReport, out: TextIO) -> None:
     )
 
 
-def _emit_records(records: Sequence[RootRecord], fmt: str, output: str | None) -> None:
-    def write_to(fh: TextIO) -> None:
-        if fmt == "csv":
-            write_records_csv(fh, records)
-        else:
-            write_records_jsonl(fh, records)
+def _emit(args, table: Callable[[TextIO], None], records: Sequence[RootRecord]) -> None:
+    """Write the table, or the records in csv/jsonl, to --output or stdout."""
 
-    if output:
-        with open(output, "w") as fh:
-            write_to(fh)
+    def write(fh: TextIO) -> None:
+        if args.format == "table":
+            table(fh)
+        else:
+            _RECORD_WRITERS[args.format](fh, records)
+
+    if args.output:
+        with open(args.output, "w") as fh:
+            write(fh)
     else:
-        write_to(sys.stdout)
+        write(sys.stdout)
 
 
 # --- argument plumbing -------------------------------------------------------
 
-def _add_common_target_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", help=f"target name, one of: {', '.join(REGISTRY_NAMES)}")
-    p.add_argument("--k", type=int, help="series truncation (default 50)")
+def _format_arg(text: str) -> str:
+    # a type rather than choices: argparse checks choices only on flags,
+    # never on a default, and manifest values arrive as defaults
+    if text not in _FORMATS:
+        choices = ", ".join(map(repr, _FORMATS))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _add_target_args(p: argparse.ArgumentParser, target_help: str) -> None:
+    p.add_argument("--target", help=target_help)
+    p.add_argument("--k", type=int, default=50, help="series truncation (default %(default)s)")
     p.add_argument("--coeffs", help="poly coefficients, comma-separated complex literals")
-    p.add_argument("--x0", help="initial condition, comma-separated complex literals")
-    p.add_argument("--epsilon", type=float, help="regularizer (default 1e-3)")
-    p.add_argument("--tol-step", dest="tol_step", type=float, help="step tolerance (default 1e-6)")
-    p.add_argument(
-        "--tol-residual", dest="tol_residual", type=float, help="residual tolerance (default 1e-6)"
-    )
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (default 500)")
-    p.add_argument(
-        "--round-m", dest="round_m", type=int, help="rounding exponent m (default 5)"
-    )
     p.add_argument("--manifest", help="flat key=value manifest file; flags override it")
+
+
+def _add_solver_args(p: argparse.ArgumentParser) -> None:
+    _add_target_args(p, f"target name, one of: {', '.join(REGISTRY_NAMES)}")
+    p.add_argument("--x0", help="initial condition, comma-separated complex literals")
+    for flag, kind, default, text in (
+        ("--epsilon", float, FpnConfig.epsilon, "regularizer"),
+        ("--tol-step", float, FpnConfig.tol_step, "step tolerance"),
+        ("--tol-residual", float, FpnConfig.tol_residual, "residual tolerance"),
+        ("--max-iter", int, FpnConfig.max_iter, "iteration cap"),
+        ("--round-m", int, FpnConfig.round_exponent_m, "rounding exponent m"),
+    ):
+        p.add_argument(flag, type=kind, default=default, help=f"{text} (default %(default)s)")
     p.add_argument("--output", help="write results to this path instead of stdout")
     p.add_argument(
         "--format",
-        dest="format",
-        choices=("table", "csv", "jsonl"),
-        help="output format (default table)",
+        type=_format_arg,
+        default="table",
+        metavar="{%s}" % ",".join(_FORMATS),
+        help="output format (default %(default)s)",
     )
 
 
-def _merged(args: argparse.Namespace, manifest: dict[str, str], key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in manifest:
-        return manifest[key]
-    return default
+def _require(args: argparse.Namespace, *keys: str) -> None:
+    for key in keys:
+        if getattr(args, key) is None:
+            raise DomainError(f"--{key} is required")
 
 
-def _build_config(args, manifest, alpha: float) -> FpnConfig:
+def _build_config(args: argparse.Namespace, alpha: float) -> FpnConfig:
     return FpnConfig(
         alpha=alpha,
-        epsilon=float(_merged(args, manifest, "epsilon", 1e-3)),
-        tol_step=float(_merged(args, manifest, "tol_step", 1e-6)),
-        tol_residual=float(_merged(args, manifest, "tol_residual", 1e-6)),
-        max_iter=int(_merged(args, manifest, "max_iter", 500)),
-        round_exponent_m=int(_merged(args, manifest, "round_m", 5)),
+        epsilon=args.epsilon,
+        tol_step=args.tol_step,
+        tol_residual=args.tol_residual,
+        max_iter=args.max_iter,
+        round_exponent_m=args.round_m,
     )
-
-
-def _build_target(args, manifest):
-    name = _merged(args, manifest, "target")
-    if name is None:
-        raise DomainError("--target is required")
-    return make_target(
-        str(name),
-        k=int(_merged(args, manifest, "k", 50)),
-        coeffs=_merged(args, manifest, "coeffs"),
-    )
-
-
-def _load_manifest_arg(args) -> dict[str, str]:
-    path = getattr(args, "manifest", None)
-    if path is None:
-        return {}
-    return load_manifest(path)
 
 
 # --- commands ----------------------------------------------------------------
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    manifest = _load_manifest_arg(args)
-    target = _build_target(args, manifest)
-    x0_text = _merged(args, manifest, "x0")
-    if x0_text is None:
-        raise DomainError("--x0 is required")
-    alpha_text = _merged(args, manifest, "alpha")
-    if alpha_text is None:
-        raise DomainError("--alpha is required")
-    x0 = parse_complex_vector(str(x0_text))
-    config = _build_config(args, manifest, float(alpha_text))
-    record, trace = fpn_solve(target, x0, config)
-    _print_record(record, sys.stdout)
-    if _merged(args, manifest, "trace") in (True, "true", "1", "yes"):
-        for i, (step, res) in enumerate(zip(trace.step_norms, trace.residual_norms), start=1):
-            point = ", ".join(format_complex(complex(z)) for z in trace.iterates[i])
-            sys.stdout.write(f"  i={i:<4d} x=({point})  step={step:.5e}  residual={res:.5e}\n")
-    fmt = _merged(args, manifest, "format", "table")
-    output = _merged(args, manifest, "output")
-    if fmt in ("csv", "jsonl"):
-        _emit_records([record], fmt, output)
+    _require(args, "target", "x0", "alpha")
+    target = make_target(args.target, k=args.k, coeffs=args.coeffs)
+    x0 = parse_complex_vector(args.x0)
+    record, trace = fpn_solve(target, x0, _build_config(args, args.alpha))
+
+    def table(out: TextIO) -> None:
+        _print_record(record, out)
+        # a manifest gives trace as text
+        if args.trace in (True, "true", "1", "yes"):
+            for i, (step, res) in enumerate(zip(trace.step_norms, trace.residual_norms), start=1):
+                point = ", ".join(format_complex(complex(z)) for z in trace.iterates[i])
+                out.write(f"  i={i:<4d} x=({point})  step={step:.5e}  residual={res:.5e}\n")
+
+    # with csv/jsonl the record line still goes to stdout, ahead of the records
+    if args.format != "table":
+        table(sys.stdout)
+    _emit(args, table, [record])
     return EXIT_OK if record.status is SolveStatus.Converged else EXIT_NOT_CONVERGED
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    manifest = _load_manifest_arg(args)
-    target = _build_target(args, manifest)
-    x0_text = _merged(args, manifest, "x0")
-    if x0_text is None:
-        raise DomainError("--x0 is required")
-    grid_text = _merged(args, manifest, "grid")
-    if grid_text is None:
-        raise DomainError("--grid is required")
-    x0 = parse_complex_vector(str(x0_text))
-    grid = parse_grid(str(grid_text))
-    base_alpha = grid.values()[0]
-    config = _build_config(args, manifest, base_alpha)
-    cluster_tol = float(_merged(args, manifest, "cluster_tol", 1e-4))
-    report = run_sweep(target, x0, grid, config, cluster_tol=cluster_tol)
-    fmt = str(_merged(args, manifest, "format", "table"))
-    output = _merged(args, manifest, "output")
-    if fmt == "table":
-        if output:
-            with open(output, "w") as fh:
-                _sweep_table(report, fh)
-        else:
-            _sweep_table(report, sys.stdout)
-    else:
-        _emit_records(report.records, fmt, output)
+    _require(args, "target", "x0", "grid")
+    target = make_target(args.target, k=args.k, coeffs=args.coeffs)
+    x0 = parse_complex_vector(args.x0)
+    grid = parse_grid(args.grid)
+    config = _build_config(args, grid.values()[0])
+    report = run_sweep(target, x0, grid, config, cluster_tol=args.cluster_tol)
+    _emit(args, lambda out: _sweep_table(report, out), report.records)
     return EXIT_OK
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    manifest = _load_manifest_arg(args)
-    xi_text = _merged(args, manifest, "xi")
-    if xi_text is None:
-        raise DomainError("--xi is required")
-    xi = parse_complex_vector(str(xi_text))
-    delta = float(_merged(args, manifest, "delta", 1e-12))
-    name = _merged(args, manifest, "target", "zeta-func")
-    k = int(_merged(args, manifest, "k", 50))
-    if name == "zeta-func":
-        target = zeta_functional_target(k=k)
+    _require(args, "xi")
+    xi = parse_complex_vector(args.xi)
+    if args.target == "zeta-func":
+        target = zeta_functional_target(k=args.k)
     else:
-        target = make_target(str(name), k=k, coeffs=_merged(args, manifest, "coeffs"))
-    deltas = sorted({-delta, 0.0, delta})
+        target = make_target(args.target, k=args.k, coeffs=args.coeffs)
+    deltas = sorted({-args.delta, 0.0, args.delta})
     for d, value in stability_probe(target, xi, deltas):
         sys.stdout.write(f"delta={d:+.3e}  |f|={value:.6e}\n")
     return EXIT_OK
@@ -381,44 +355,49 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = _Parser(prog="fracroots", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_solve = sub.add_parser("solve", help="run a single solve at one fractional order")
-    _add_common_target_args(p_solve)
-    p_solve.add_argument("--alpha", help="fractional order")
-    p_solve.add_argument("--trace", action="store_const", const=True, help="print iterates")
+    _add_solver_args(p_solve)
+    p_solve.add_argument("--alpha", type=float, help="fractional order")
+    p_solve.add_argument("--trace", action="store_true", help="print iterates")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="sweep the solver over an order grid")
-    _add_common_target_args(p_sweep)
+    _add_solver_args(p_sweep)
     p_sweep.add_argument("--grid", help="order grid lo:hi:step")
     p_sweep.add_argument(
-        "--cluster-tol", dest="cluster_tol", type=float, help="root dedup tolerance (default 1e-4)"
+        "--cluster-tol", type=float, default=1e-4, help="root dedup tolerance (default %(default)s)"
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_stab = sub.add_parser("stability", help="probe residuals around a point")
     p_stab.add_argument("--xi", help="probe point, comma-separated complex literals")
-    p_stab.add_argument("--delta", type=float, help="real probe offset (default 1e-12)")
-    p_stab.add_argument("--target", help="target name or zeta-func (default)")
-    p_stab.add_argument("--k", type=int, help="series truncation for zeta evaluators")
-    p_stab.add_argument("--coeffs", help="poly coefficients when --target poly")
-    p_stab.add_argument("--manifest", help="flat key=value manifest file")
-    p_stab.set_defaults(func=cmd_stability)
+    p_stab.add_argument(
+        "--delta", type=float, default=1e-12, help="real probe offset (default %(default)s)"
+    )
+    _add_target_args(p_stab, "target name or zeta-func (default)")
+    p_stab.set_defaults(func=cmd_stability, target="zeta-func")
 
     p_val = sub.add_parser("validate", help="run the fractional-derivative oracle suites")
     p_val.add_argument("--suite", help=f"run one suite, one of: {', '.join(SUITES)}")
     p_val.set_defaults(func=cmd_validate)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "manifest", None):
+            # manifest values become the defaults, which argparse types and
+            # checks like flags; the flags given still win
+            commands[args.command].set_defaults(**load_manifest(args.manifest))
+            args = parser.parse_args(argv)
         return args.func(args)
     except OSError as exc:
         sys.stderr.write(f"fracroots: i/o error: {exc}\n")

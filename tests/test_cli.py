@@ -230,6 +230,72 @@ class TestSolveCommand:
         assert code == 0
         assert "status=Converged" in capsys.readouterr().out
 
+    def test_table_output_file(self, capsys, tmp_path):
+        out_path = tmp_path / "solve.txt"
+        code = main(
+            [
+                "solve",
+                "--target",
+                "poly",
+                "--coeffs",
+                "1,0,-1",
+                "--x0",
+                "3",
+                "--alpha",
+                "0.8",
+                "--output",
+                str(out_path),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert out_path.read_text().startswith("alpha=0.80000  status=Converged")
+
+    def test_flags_override_manifest(self, capsys, tmp_path):
+        path = tmp_path / "m.manifest"
+        path.write_text("target=poly\ncoeffs=1,0,-1\nx0=3\nalpha=0.8\nepsilon=1e-2\n")
+        code = main(["solve", "--manifest", str(path), "--alpha", "0.45", "--format", "jsonl"])
+        assert code == 0
+        _, _, payload = capsys.readouterr().out.partition("\n")
+        (rec,) = read_records_jsonl(io.StringIO(payload))
+        assert rec.alpha == 0.45
+        f, x0 = polynomial([1, 0, -1]), np.array([3 + 0j])
+        expected, _ = fpn_solve(f, x0, FpnConfig(alpha=0.45, epsilon=1e-2))
+        default_epsilon, _ = fpn_solve(f, x0, FpnConfig(alpha=0.45))
+        assert records_equal(rec, expected)
+        assert not records_equal(rec, default_epsilon)
+
+
+class TestArgumentChecks:
+    """Flags and manifest values go through the same argparse types."""
+
+    def test_non_numeric_flag_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--target", "poly", "--coeffs", "1,0,-1", "--x0", "3", "--alpha", "abc"])
+        assert exc.value.code == 1
+        assert "argument --alpha: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_non_numeric_manifest_value_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "m.manifest"
+        path.write_text("target=poly\ncoeffs=1,0,-1\nx0=3\nalpha=0.8\nepsilon=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--manifest", str(path)])
+        assert exc.value.code == 1
+        assert "argument --epsilon: invalid float value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, manifest", [("solve", "alpha=0.8"), ("sweep", "grid=0.3:0.5:0.05")]
+    )
+    def test_manifest_unknown_format_exits_one(self, capsys, tmp_path, command, manifest):
+        path = tmp_path / "m.manifest"
+        path.write_text(f"target=poly\ncoeffs=1,0,-1\nx0=3\nformat=xml\n{manifest}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", str(path)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --format: invalid choice: 'xml'" in captured.err
+
 
 class TestSweepCommand:
     def test_table_output(self, capsys):
@@ -250,6 +316,10 @@ class TestSweepCommand:
         assert code == 0
         assert out.startswith("alpha")
         assert "unique_roots=" in out
+        lines = out.splitlines()
+        assert lines[0].split()[-1] == "hits"
+        hits = sum(int(line.split()[-1]) for line in lines[1:-1])
+        assert f" converged={hits} " in lines[-1]
 
     def test_csv_file_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
