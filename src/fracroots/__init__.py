@@ -3,8 +3,8 @@
 A pseudo-Newton iteration whose chord slope is the Riemann-Liouville
 derivative of the constant 1 finds many real and complex roots of nonlinear
 functions and systems from a single initial condition by sweeping the
-fractional order.  Ships evaluators for truncated Ci/Si series, the globally
-convergent zeta double sum, and zeta via its functional equation.
+fractional order.  Ships evaluators for truncated Ci/Si series, zeta as one
+globally convergent exact-weight sum, and zeta via its functional equation.
 """
 
 from .errors import (

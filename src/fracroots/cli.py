@@ -207,14 +207,13 @@ def _print_record(rec: RootRecord, out: TextIO) -> None:
 
 
 def _sweep_table(report: SweepReport, out: TextIO) -> None:
-    out.write(
-        "alpha      x_n                                  step        residual    n     hits\n"
-    )
-    for unique in report.unique_roots:
+    roots = [", ".join(format_complex(complex(z)) for z in u.root) for u in report.unique_roots]
+    width = max([36, *map(len, roots)])
+    out.write(f"{'alpha':<10} {'x_n':<{width}} step        residual    n     hits\n")
+    for unique, root in zip(report.unique_roots, roots):
         best = unique.best_record
-        root = ", ".join(format_complex(complex(z)) for z in unique.root)
         out.write(
-            f"{best.alpha:<10.5f} {root:<36} {best.step_norm:<11.3e} "
+            f"{best.alpha:<10.5f} {root:<{width}} {best.step_norm:<11.3e} "
             f"{best.residual_norm:<11.3e} {best.iterations:<5d} {unique.multiplicity_count}\n"
         )
     converged = sum(1 for r in report.records if r.status is SolveStatus.Converged)

@@ -94,8 +94,8 @@ def incomplete_beta(r: float, p: float, q: float) -> float:
 def binomial(m: int, p: int) -> int:
     """Exact binomial coefficient C(m, p) for 0 <= p <= m <= 60.
 
-    The cap keeps every C(m, p) / 2^(m+1) exact in 80-bit extended precision,
-    which hasse_zeta relies on.
+    The cap keeps the hasse_zeta weight numerators, sums of C(m, p) 2^(k-m)
+    of up to k+1 bits, exact in the 64-bit mantissa of 80-bit extended precision.
     """
     if m != int(m) or p != int(p):
         raise DomainError(f"binomial requires integer arguments, got m={m!r}, p={p!r}")

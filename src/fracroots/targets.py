@@ -1,7 +1,7 @@
 """Registry of evaluatable target functions.
 
-Truncated cosine- and sine-integral series, the globally convergent Euler
-double-sum for the zeta function, zeta through its functional equation, a
+Truncated cosine- and sine-integral series, the globally convergent zeta
+series as one exact-weight sum, zeta through its functional equation, a
 2-d exponential-sine benchmark system, and generic polynomials.
 """
 
@@ -127,25 +127,29 @@ def si_series(k: int) -> TargetFunction:
     return TargetFunction("si", 1, _eval, truncation_k=k)
 
 
-def hasse_zeta(k: int) -> TargetFunction:
-    """Globally convergent double sum for zeta, truncated at outer index k:
-    f_k(x) = 1/(1 - 2^(1-x)) sum_{m=0}^{k} 2^-(m+1)
-             sum_{p=0}^{m} (-1)^p C(m,p) (p+1)^(-x).
+def _hasse_weights(k: int) -> np.ndarray:
+    """c_p = (-1)^p sum_{m=p}^{k} C(m,p) 2^-(m+1) for p = 0..k, in longdouble.
 
-    Row weights (-1)^p C(m,p) 2^-(m+1) are exact in 80-bit extended
-    precision for k <= 60, and the whole sum is accumulated at that
-    precision: at real x near -10 the alternating products reach ~1e15
-    while the sum is ~1e-3, which double precision cannot survive.  The
-    m-terms are summed in ascending order.
+    Each c_p is an integer of at most k+1 bits over 2^(k+1), so it is exact in
+    the 64-bit mantissa for k <= 60, the cap that binomial enforces.
+    """
+    nums = [sum(binomial(m, p) << (k - m) for m in range(p, k + 1)) for p in range(k + 1)]
+    weights = np.array(nums, dtype=np.longdouble) / np.longdouble(2) ** (k + 1)
+    weights[1::2] *= -1
+    return weights
+
+
+def hasse_zeta(k: int) -> TargetFunction:
+    """Globally convergent series for zeta, truncated at outer index k:
+    f_k(x) = 1/(1 - 2^(1-x)) sum_{m=0}^{k} 2^-(m+1) sum_{p=0}^{m} (-1)^p C(m,p) (p+1)^(-x)
+           = 1/(1 - 2^(1-x)) sum_{p=0}^{k} c_p (p+1)^(-x),
+    one sum with the exact weights c_p of _hasse_weights.  It is accumulated
+    in 80-bit extended precision: at real x near -10 the alternating products
+    reach ~1e15 while the sum is ~1e-3, which double precision cannot survive.
     """
     if k < 1:
         raise DomainError(f"series truncation must be >= 1, got k={k!r}")
-    rows = np.zeros((k + 1, k + 1), dtype=np.longdouble)
-    for m in range(k + 1):
-        denom = np.longdouble(2) ** (m + 1)
-        for p in range(m + 1):
-            w = np.longdouble(binomial(m, p)) / denom
-            rows[m, p] = -w if p % 2 else w
+    weights = _hasse_weights(k)
     log_steps = np.log(np.arange(1, k + 2, dtype=np.longdouble))
     ln2 = np.log(np.longdouble(2))
     one = np.clongdouble(1)
@@ -156,10 +160,7 @@ def hasse_zeta(k: int) -> TargetFunction:
             prefactor_denom = one - np.exp((one - z) * ln2)
             if abs(complex(prefactor_denom)) < 1e-12:
                 raise EvaluationError("pole of the series prefactor (2^(1-x) = 1)")
-            powers = np.exp(-z * log_steps)
-            m_terms = rows @ powers
-            total = m_terms.cumsum()[-1]
-            value = complex(total / prefactor_denom)
+            value = complex(weights @ np.exp(-z * log_steps) / prefactor_denom)
         return np.array([value], dtype=np.complex128)
 
     return TargetFunction("zeta-hasse", 1, _eval, truncation_k=k)

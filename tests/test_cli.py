@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,8 +319,26 @@ class TestSweepCommand:
         assert "unique_roots=" in out
         lines = out.splitlines()
         assert lines[0].split()[-1] == "hits"
+        # 1-component roots keep the 36-character root column
+        assert lines[0] == f"{'alpha':<10} {'x_n':<36} step        residual    n     hits"
         hits = sum(int(line.split()[-1]) for line in lines[1:-1])
         assert f" converged={hits} " in lines[-1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--target", "poly", "--coeffs", "1,0,-1", "--x0", "3", "--grid", "0.3:0.9:0.05"],
+            ["--target", "example3", "--x0", "0.86,0.86", "--grid", "0.65:1.3:5e-3"],
+        ],
+    )
+    def test_table_columns_align(self, capsys, argv):
+        assert main(["sweep", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header, rows = lines[0], lines[1:-1]
+        col = header.index("step")
+        assert rows
+        for row in rows:
+            assert row[col - 1] == " " and re.match(r"\d\.\d{3}e[-+]\d{2} ", row[col:]), row
 
     def test_csv_file_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"

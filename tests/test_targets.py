@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fracroots.errors import DomainError, EvaluationError
 from fracroots.targets import (
     EULER_MASCHERONI,
+    _hasse_weights,
     ci_series,
     example3_system,
     hasse_zeta,
@@ -26,6 +28,19 @@ mp.mp.dps = 30
 
 def ev(target, z):
     return complex(target.evaluate(np.array([z], dtype=np.complex128))[0])
+
+
+def truncated(x, k=50):
+    """The hasse_zeta series as the literal double sum, at 50 digits."""
+    with mp.workdps(50):
+        x = mp.mpmathify(x)
+        powers = [mp.mpf(p + 1) ** -x for p in range(k + 1)]
+        rows = mp.fsum(
+            mp.mpf(2) ** -(m + 1)
+            * mp.fsum((-1) ** p * mp.binomial(m, p) * powers[p] for p in range(m + 1))
+            for m in range(k + 1)
+        )
+        return complex(rows / (1 - mp.mpf(2) ** (1 - x)))
 
 
 finite_complex = st.complex_numbers(
@@ -127,29 +142,41 @@ class TestHasseZeta:
             ref = complex(mp.zeta(mp.mpc(z.real, z.imag)))
             assert abs(ev(hasse_zeta(50), z) - ref) < 1e-9
 
+    @pytest.mark.parametrize("k", [1, 20, 50, 60])
+    def test_weights_are_exact(self, k):
+        weights = _hasse_weights(k)
+        assert len(weights) == k + 1
+        for p, w in enumerate(weights):
+            exact = sum(
+                Fraction((-1) ** p * math.comb(m, p), 2 ** (m + 1)) for m in range(p, k + 1)
+            )
+            assert Fraction(*w.as_integer_ratio()) == exact, (k, p)
+
+    def test_truncation_is_capped_at_sixty(self):
+        hasse_zeta(60)
+        with pytest.raises(DomainError):
+            hasse_zeta(61)
+
+    def test_matches_truncated_series_in_well_conditioned_region(self):
+        points = [
+            -3 + 0j, -2.5 + 7j, -1.5 - 20j, -1 + 45j, 0j, -50j, 0.5 + 14.134725j,
+            0.5 - 31.5j, 0.5 + 49.77j, 1 + 3j, 1.5 - 9j, 2 + 33j, 2.5 - 41j, 3 + 0j, 3 + 50j,
+        ]
+        f = hasse_zeta(50)
+        for z in points:
+            assert abs(ev(f, z) - truncated(z)) <= 1e-12, z
+
     @pytest.mark.xfail(
         strict=True,
-        reason="80-bit row sums lose ~1e-5 near x = -12, so a zeta sweep can report "
-        "Converged at -12.0002 with residual 9.6e-7 where the truncated series is 1.27e-5",
+        reason="the weighted sum, accumulated in 80 bits, is off by 3.0e-6 at x = -12 and "
+        "3.4e-5 at -12.0002, above the solver's 1e-6 residual tolerance, so a zeta sweep "
+        "can report Converged near -12 where the truncated series is not small",
     )
     def test_matches_truncated_series_near_minus_twelve(self):
         # The evaluator should reproduce its own truncated series to within
         # the solver's residual tolerance (1e-6), or a Converged status there
         # is not true.  At x = -12 every row m > 12 vanishes and the rest sum
         # to zeta(-12) = 0, so the truncated series is exactly 0.
-        def truncated(x, k=50):
-            with mp.workdps(50):
-                x = mp.mpf(x)
-                rows = mp.fsum(
-                    mp.mpf(2) ** -(m + 1)
-                    * mp.fsum(
-                        (-1) ** p * mp.binomial(m, p) * mp.mpf(p + 1) ** -x
-                        for p in range(m + 1)
-                    )
-                    for m in range(k + 1)
-                )
-                return complex(rows / (1 - mp.mpf(2) ** (1 - x)))
-
         f = hasse_zeta(50)
         for x in (-12.0, -12.0002):
             assert abs(ev(f, complex(x, 0.0)) - truncated(x)) <= 1e-6, x
