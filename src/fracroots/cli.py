@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -388,13 +389,20 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # parsing leaves a parser unchanged, so the calls of a process share one
+    return _build_parser()[0]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if getattr(args, "manifest", None):
-            # manifest values become the defaults, which argparse types and
-            # checks like flags; the flags given still win
+            # manifest values become the defaults of a fresh parser, so they
+            # never reach a later call; argparse types and checks them like
+            # flags, and the flags given still win
+            parser, commands = _build_parser()
             commands[args.command].set_defaults(**load_manifest(args.manifest))
             args = parser.parse_args(argv)
         return args.func(args)

@@ -3,6 +3,8 @@
 Closed forms for shifted powers and monomials, the derivative-of-a-constant
 kernel used by the solver, termwise series derivatives, plus a quadrature /
 finite-difference route that serves as the independent oracle in tests.
+scipy.integrate is imported on first use, inside rl_integral_quadrature, so
+importing fracroots does not pay for it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-from scipy.integrate import quad
 
 from .errors import DomainError, QuadratureError
 from .specfun import (
@@ -127,6 +127,8 @@ def rl_integral_quadrature(
 
     def integrand(s: float) -> float:
         return f(x - span * s ** inv_alpha)
+
+    from scipy.integrate import quad
 
     eps = max(rel_tol, 1e-13)
     out = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=eps, limit=200, full_output=1)

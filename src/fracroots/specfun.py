@@ -4,14 +4,14 @@ binomial coefficients.
 Everything here is a pure function.  The values come from scipy.special
 (log-gamma, regularized incomplete beta) and the stdlib (math.gamma,
 math.comb); this module adds the domain checks, the pole errors and the
-branch convention on the negative real axis.
+branch convention on the negative real axis.  scipy.special is imported on
+first use, inside the two functions that need it, so importing fracroots
+does not pay for it.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy.special import betainc, loggamma
 
 from .errors import DomainError, PoleError
 
@@ -57,6 +57,8 @@ def log_gamma_complex(z: complex) -> complex:
         if _is_nonpositive_integer(z.real):
             raise PoleError(f"log gamma has a pole at {z.real:g}")
         z = complex(z.real, 0.0)
+    from scipy.special import loggamma
+
     return complex(loggamma(z))
 
 
@@ -83,6 +85,8 @@ def incomplete_beta_regularized(r: float, p: float, q: float) -> float:
         return 0.0
     if r == 1.0:
         return 1.0
+    from scipy.special import betainc
+
     return float(betainc(p, q, r))
 
 

@@ -8,6 +8,7 @@ series as one exact-weight sum, zeta through its functional equation, a
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -127,15 +128,19 @@ def si_series(k: int) -> TargetFunction:
     return TargetFunction("si", 1, _eval, truncation_k=k)
 
 
+# typed, so that a non-int k fails in range() whatever k was cached before
+@functools.lru_cache(typed=True)
 def _hasse_weights(k: int) -> np.ndarray:
     """c_p = (-1)^p sum_{m=p}^{k} C(m,p) 2^-(m+1) for p = 0..k, in longdouble.
 
     Each c_p is an integer of at most k+1 bits over 2^(k+1), so it is exact in
-    the 64-bit mantissa for k <= 60, the cap that binomial enforces.
+    the 64-bit mantissa for k <= 60, the cap that binomial enforces.  Cached
+    per k and read-only, since every target of one k shares the array.
     """
     nums = [sum(binomial(m, p) << (k - m) for m in range(p, k + 1)) for p in range(k + 1)]
     weights = np.array(nums, dtype=np.longdouble) / np.longdouble(2) ** (k + 1)
     weights[1::2] *= -1
+    weights.flags.writeable = False
     return weights
 
 

@@ -267,6 +267,38 @@ class TestSolveCommand:
         assert not records_equal(rec, default_epsilon)
 
 
+class TestParserReuse:
+    """The calls of one process share a parser; a manifest's defaults stay in
+    the call that read it."""
+
+    def test_manifest_does_not_leak_into_next_call(self, capsys, tmp_path):
+        path = tmp_path / "m.manifest"
+        path.write_text("target=poly\ncoeffs=1,0,-1\nx0=3\nalpha=0.8\nepsilon=1e-2\n")
+        flags = ["--target", "poly", "--coeffs", "1,0,-1", "--x0", "3", "--alpha", "0.8"]
+        records = []
+        for argv in (["--manifest", str(path)], flags):
+            assert main(["solve", *argv, "--format", "jsonl"]) == 0
+            _, _, payload = capsys.readouterr().out.partition("\n")
+            records.extend(read_records_jsonl(io.StringIO(payload)))
+        f, x0 = polynomial([1, 0, -1]), np.array([3 + 0j])
+        with_manifest, _ = fpn_solve(f, x0, FpnConfig(alpha=0.8, epsilon=1e-2))
+        default_epsilon, _ = fpn_solve(f, x0, FpnConfig(alpha=0.8))
+        assert records_equal(records[0], with_manifest)
+        assert records_equal(records[1], default_epsilon)
+        assert not records_equal(records[1], with_manifest)
+
+    @pytest.mark.parametrize("argv", [["solve", "--alpha", "abc"], ["solve", "--help"]])
+    def test_repeated_call_prints_the_same(self, capsys, argv):
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            outcomes.append((exc.value.code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] or outcomes[0][2]
+
+
 class TestArgumentChecks:
     """Flags and manifest values go through the same argparse types."""
 

@@ -152,6 +152,13 @@ class TestHasseZeta:
             )
             assert Fraction(*w.as_integer_ratio()) == exact, (k, p)
 
+    def test_weights_are_cached_read_only(self):
+        weights = _hasse_weights(50)
+        assert _hasse_weights(50) is weights
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0
+
     def test_truncation_is_capped_at_sixty(self):
         hasse_zeta(60)
         with pytest.raises(DomainError):
