@@ -94,9 +94,10 @@ class IterationTrace:
     residual_norms: list[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootRecord:
-    """Outcome of one solve at one fractional order."""
+    """Outcome of one solve at one fractional order.  Slotted: a sweep keeps
+    one per order."""
 
     alpha: float
     root: np.ndarray
@@ -134,6 +135,13 @@ def _l2(v: np.ndarray) -> float:
     return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
 
 
+def _abs(z: complex) -> float:
+    """_l2 of the 1-component vector [z], bitwise: a dot product of length
+    one rounds re*re once, as Python does.  Longer vectors need _l2, whose
+    dot products may fuse a*a + b*b into one rounding."""
+    return math.sqrt(z.real * z.real + z.imag * z.imag)
+
+
 def beta_exponent(alpha: float, z: complex) -> float:
     """alpha away from the origin, 1 at it (where the constant kernel would
     be discontinuous).  The zero test is exact: sqrt(z conj(z)) > 0."""
@@ -165,9 +173,14 @@ def build_p_matrix(x, config: FpnConfig) -> np.ndarray:
     )
 
 
-def _snap(v: np.ndarray, threshold: float) -> None:
-    # in place: zero every imaginary part with magnitude <= threshold
-    v.imag[np.abs(v.imag) <= threshold] = 0.0
+def _snap(v: np.ndarray, threshold: float) -> list[complex]:
+    # in place: zero every imaginary part with magnitude <= threshold, on the
+    # component list, which is returned
+    zs = v.tolist()
+    for k, z in enumerate(zs):
+        if abs(z.imag) <= threshold:
+            zs[k] = v[k] = complex(z.real, 0.0)
+    return zs
 
 
 def round_iterate(x, m: int) -> np.ndarray:
@@ -181,10 +194,10 @@ def _advance(
     x: np.ndarray, p: np.ndarray, fx: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, list[complex]]:
     # Rnd_m(x - P f(x)) and its components; NumericalFailureError on a
-    # non-finite iterate
+    # non-finite iterate.  The update stays in numpy: its complex multiply
+    # may fuse a multiply and an add, so Python's would move the last bit.
     y = x - p * fx
-    _snap(y, threshold)
-    zs = y.tolist()
+    zs = _snap(y, threshold)
     if not _all_finite(zs):
         raise NumericalFailureError("iterate contains non-finite components")
     return y, zs
@@ -230,6 +243,8 @@ def _solve(
     epsilon = config.epsilon
     rg = recip_gamma(1.0 - alpha)
     threshold = 10.0 ** (-config.round_exponent_m)
+    # a 1-component iterate takes its norms from the component lists
+    one = x.shape[0] == 1
     step = math.inf
     res = math.inf
 
@@ -251,16 +266,17 @@ def _solve(
 
         for i in range(1, config.max_iter + 1):
             try:
-                y, zs = _advance(x, _p_entries(zs, alpha, rg, epsilon), fx, threshold)
+                y, ys = _advance(x, _p_entries(zs, alpha, rg, epsilon), fx, threshold)
             except NumericalFailureError:
                 return finish(SolveStatus.NumericalFailure, x, i)
-            step = _l2(y - x)
+            step = _abs(ys[0] - zs[0]) if one else _l2(y - x)
+            zs = ys
             try:
                 fy = _target_vector(f.evaluate(y))
             except (EvaluationError, OverflowError, ZeroDivisionError):
                 res = math.inf
                 return finish(SolveStatus.NumericalFailure, y, i)
-            res = _l2(fy)
+            res = _abs(fy.item()) if one else _l2(fy)
             if trace is not None:
                 trace.iterates.append(y.copy())
                 trace.step_norms.append(step)
@@ -269,7 +285,7 @@ def _solve(
                 return finish(SolveStatus.NumericalFailure, y, i)
             if step <= config.tol_step and res <= config.tol_residual:
                 return finish(SolveStatus.Converged, y, i)
-            if _l2(y) > config.divergence_bound:
+            if (_abs(zs[0]) if one else _l2(y)) > config.divergence_bound:
                 return finish(SolveStatus.Diverged, y, i)
             x = y
             fx = fy

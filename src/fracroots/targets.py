@@ -11,7 +11,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,11 +55,10 @@ class TargetFunction:
     truncation_k: int | None = None
 
 
-def _complex_fsum(terms: Iterable[complex]) -> complex:
+def _complex_fsum(terms: list[complex]) -> complex:
     # correctly rounded sum of each component; the alternating series here
     # have intermediate terms up to ~1e11 at the outer roots
-    ts = list(terms)
-    return complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts))
+    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
 def _inverse_of_int(denominator: int) -> float:
@@ -87,14 +86,12 @@ def ci_series(k: int) -> TargetFunction:
         if z == 0:
             raise EvaluationError("logarithmic singularity at x = 0")
         z2 = z * z
-
-        def terms():
-            power = 1.0 + 0.0j
-            for c in coeffs:
-                power *= z2
-                yield c * power
-
-        acc = _complex_fsum(terms())
+        power = 1.0 + 0.0j
+        terms = []
+        for c in coeffs:
+            power *= z2
+            terms.append(c * power)
+        acc = _complex_fsum(terms)
         return np.array([-EULER_MASCHERONI - cmath.log(z) - acc], dtype=np.complex128)
 
     return TargetFunction("ci", 1, _eval, truncation_k=k)
@@ -110,19 +107,17 @@ def si_series(k: int) -> TargetFunction:
     for m in range(k + 1):
         mag = _inverse_of_int((2 * m + 1) * math.factorial(2 * m + 1))
         coeffs.append(-mag if m % 2 else mag)
+    head, tail = coeffs[0], coeffs[1:]
 
     def _eval(v: np.ndarray) -> np.ndarray:
         z = complex(v[0])
         z2 = z * z
-
-        def terms():
-            power = z
-            yield coeffs[0] * power
-            for c in coeffs[1:]:
-                power *= z2
-                yield c * power
-
-        acc = _complex_fsum(terms())
+        power = z
+        terms = [head * power]
+        for c in tail:
+            power *= z2
+            terms.append(c * power)
+        acc = _complex_fsum(terms)
         return np.array([0.5 * math.pi - acc], dtype=np.complex128)
 
     return TargetFunction("si", 1, _eval, truncation_k=k)
@@ -241,10 +236,14 @@ def example3_system() -> TargetFunction:
     def _eval(v: np.ndarray) -> np.ndarray:
         x1 = complex(v[0])
         x2 = complex(v[1])
-        f1 = 0.5 * x1 * (cmath.sin(x1 * x2) - 1.0) - quarter_pi_inv * x2
-        f2 = (1.0 - quarter_pi_inv) * (cmath.exp(2.0 * x1) - e) + e * (
-            x2 / math.pi - 2.0 * x1
-        )
+        try:
+            f1 = 0.5 * x1 * (cmath.sin(x1 * x2) - 1.0) - quarter_pi_inv * x2
+            f2 = (1.0 - quarter_pi_inv) * (cmath.exp(2.0 * x1) - e) + e * (
+                x2 / math.pi - 2.0 * x1
+            )
+        except ValueError as exc:
+            # cmath's domain error on an overflowed argument, e.g. x1 x2 = inf
+            raise EvaluationError(f"example3 is undefined at ({x1!r}, {x2!r})") from exc
         return np.array([f1, f2], dtype=np.complex128)
 
     return TargetFunction("example3", 2, _eval)

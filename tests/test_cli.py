@@ -195,6 +195,13 @@ class TestSolveCommand:
             root = complex(root_text.replace("i", "j"))
             assert abs(f.evaluate(np.array([root]))[0]) <= 1e-6
 
+    def test_target_domain_error_exits_two(self, capsys):
+        # example3's x1 x2 overflows to inf, where cmath.sin has a domain error
+        code = main(["solve", "--target", "example3", "--x0", "1e172,1e172", "--alpha", "0.7"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "status=NumericalFailure  n=0" in out
+
     def test_missing_x0_exits_one(self, capsys):
         code = main(["solve", "--target", "poly", "--coeffs", "1,0,-1", "--alpha", "0.8"])
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import struct
 import warnings
 
@@ -15,6 +16,7 @@ from fracroots.solver import (
     IterationTrace,
     RootRecord,
     SolveStatus,
+    _abs,
     _l2,
     beta_exponent,
     build_p_matrix,
@@ -24,7 +26,7 @@ from fracroots.solver import (
     round_iterate,
 )
 from fracroots.sweep import AlphaGrid, run_sweep
-from fracroots.targets import TargetFunction, ci_series, make_target, polynomial
+from fracroots.targets import TargetFunction, ci_series, example3_system, make_target, polynomial
 
 
 def vec(*zs):
@@ -202,6 +204,17 @@ class TestFpnSolve:
         assert record.status is SolveStatus.NumericalFailure
         assert record.iterations == 0
 
+    def test_target_domain_error_becomes_numerical_failure(self):
+        # x1 x2 overflows to inf, where cmath.sin has a domain error
+        f = example3_system()
+        x0 = vec(1e172, 1e172)
+        record, _ = fpn_solve(f, x0, FpnConfig(alpha=0.7))
+        assert record.status is SolveStatus.NumericalFailure
+        assert record.iterations == 0
+        report = run_sweep(f, x0, AlphaGrid(0.65, 0.8, 0.05), FpnConfig(alpha=0.7))
+        assert len(report.records) == 4
+        assert {r.status for r in report.records} == {SolveStatus.NumericalFailure}
+
     def test_dimension_mismatch(self):
         f = polynomial([1, -1])
         with pytest.raises(DomainError):
@@ -227,6 +240,39 @@ class TestFpnSolve:
         root = complex(record.root[0])
         assert min(abs(root - (0.5 + 14.13472527j)), abs(root - (0.5 - 14.13472527j))) < 1e-3
         assert record.residual_norm <= 1e-6
+
+
+class TestRootRecord:
+    @staticmethod
+    def _record(**changes):
+        rec = RootRecord(0.25, vec(1 + 2j), 1e-7, 2e-7, 12, SolveStatus.Converged)
+        return dataclasses.replace(rec, **changes)
+
+    def test_equality(self):
+        a = self._record()
+        assert a == dataclasses.replace(a)
+        assert a != self._record(iterations=13)
+        assert a != self._record(status=SolveStatus.MaxIterations)
+
+    def test_replace_keeps_other_fields(self):
+        a = self._record()
+        b = dataclasses.replace(a, alpha=0.5)
+        assert b.alpha == 0.5
+        assert (b.root, b.step_norm, b.residual_norm, b.iterations, b.status) == (
+            a.root, a.step_norm, a.residual_norm, a.iterations, a.status
+        )
+
+    def test_pickle_round_trip(self):
+        a = self._record()
+        b = pickle.loads(pickle.dumps(a))
+        assert _record_bits(b) == _record_bits(a)
+        assert b.status is SolveStatus.Converged
+
+    def test_frozen_and_slotted(self):
+        a = self._record()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.alpha = 0.5
+        assert not hasattr(a, "__dict__")
 
 
 class TestConvergenceOrder:
@@ -406,6 +452,8 @@ class TestMatchesReferenceLoop:
         [
             (make_target("ci", k=50), vec(0.018), AlphaGrid(-1.2, 1.2, 0.05),
              {"Converged", "MaxIterations", "NumericalFailure"}),
+            (make_target("si", k=50), vec(1.85), AlphaGrid(-0.9, 1.5, 0.05),
+             {"Converged", "MaxIterations", "NumericalFailure"}),
             (make_target("zeta-hasse", k=50), vec(0.5 + 31.51j), AlphaGrid(-1.2, 0.35, 0.05),
              {"Converged", "MaxIterations", "NumericalFailure"}),
             (make_target("example3"), vec(0.86, 0.86), AlphaGrid(0.65, 1.3, 0.01),
@@ -413,7 +461,7 @@ class TestMatchesReferenceLoop:
             (polynomial([-1, 0, 0, 0]), vec(2 + 0j), AlphaGrid(-1.5, 1.5, 0.1),
              {"Diverged"}),
         ],
-        ids=["ci", "zeta-hasse", "example3", "poly"],
+        ids=["ci", "si", "zeta-hasse", "example3", "poly"],
     )
     def test_records_and_traces_are_bitwise_equal(self, target, x0, grid, statuses):
         base = FpnConfig(alpha=0.5)
@@ -452,6 +500,11 @@ class TestBookkeepingProperties:
             warnings.simplefilter("error")
             got = _l2(v)
         assert _bits([got]) == _bits([_ref_l2(v)])
+
+    @settings(max_examples=200)
+    @given(st.builds(complex, _EDGE_FLOATS, _EDGE_FLOATS))
+    def test_one_component_norm_matches_linalg_norm(self, z):
+        assert _bits([_abs(z)]) == _bits([_ref_l2(vec(z))])
 
     @settings(max_examples=200)
     @given(_EDGE_VECTORS, st.integers(min_value=1, max_value=12))

@@ -1,10 +1,11 @@
+import cmath
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracroots.errors import DomainError, EvaluationError
@@ -95,6 +96,95 @@ class TestSiSeries:
         for m in range(0, 51):
             ref -= (-1) ** m * x ** (2 * m + 1) / ((2 * m + 1) * mp.factorial(2 * m + 1))
         assert abs(ev(si_series(50), 1.3 + 0j) - complex(ref)) < 1e-12
+
+
+# --- generator-form reference ---------------------------------------------------
+# ci_series and si_series written with a term generator, copied into a list and
+# summed through generators of the real and imaginary parts.  The targets build
+# their term lists with the same products and must reproduce it bit for bit.
+
+
+def _ref_inverse(denominator):
+    try:
+        return 1.0 / denominator
+    except OverflowError:
+        return 0.0
+
+
+def _ref_fsum(terms):
+    ts = list(terms)
+    return complex(math.fsum(t.real for t in ts), math.fsum(t.imag for t in ts))
+
+
+def _ref_ci(k, z):
+    coeffs = []
+    for m in range(1, k + 1):
+        mag = _ref_inverse(2 * m * math.factorial(2 * m))
+        coeffs.append(-mag if m % 2 else mag)
+    if z == 0:
+        raise EvaluationError("logarithmic singularity at x = 0")
+    z2 = z * z
+
+    def terms():
+        power = 1.0 + 0.0j
+        for c in coeffs:
+            power *= z2
+            yield c * power
+
+    acc = _ref_fsum(terms())
+    return np.array([-EULER_MASCHERONI - cmath.log(z) - acc], dtype=np.complex128)
+
+
+def _ref_si(k, z):
+    coeffs = []
+    for m in range(k + 1):
+        mag = _ref_inverse((2 * m + 1) * math.factorial(2 * m + 1))
+        coeffs.append(-mag if m % 2 else mag)
+    z2 = z * z
+
+    def terms():
+        power = z
+        yield coeffs[0] * power
+        for c in coeffs[1:]:
+            power *= z2
+            yield c * power
+
+    acc = _ref_fsum(terms())
+    return np.array([0.5 * math.pi - acc], dtype=np.complex128)
+
+
+def _outcome(call):
+    # the value's bytes (NaN payloads included), or the exception type
+    try:
+        return ("value", call().tobytes())
+    except Exception as exc:
+        return ("raised", type(exc))
+
+
+# signed zeros, negative reals, and magnitudes where z^(2k) overflows to inf/nan
+_SERIES_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-1e5, max_value=1e5),
+)
+
+
+class TestSeriesTermLists:
+    @settings(max_examples=400)
+    @given(
+        st.sampled_from([1, 2, 50]),
+        st.sampled_from(["ci", "si"]),
+        st.builds(complex, _SERIES_PARTS, _SERIES_PARTS),
+    )
+    @example(50, "ci", complex(-0.0, -0.0))
+    @example(50, "si", complex(-0.0, 0.0))
+    @example(1, "si", complex(-1e5, 0.0))
+    @example(50, "ci", complex(1e5, 1e5))
+    def test_bitwise_equal_to_generator_form(self, k, name, z):
+        reference = {"ci": _ref_ci, "si": _ref_si}[name]
+        target = make_target(name, k=k)
+        got = _outcome(lambda: target.evaluate(np.array([z], dtype=np.complex128)))
+        assert got == _outcome(lambda: reference(k, z))
 
 
 class TestHasseZeta:
