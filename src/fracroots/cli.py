@@ -19,7 +19,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .errors import DomainError, EvaluationError, QuadratureError
-from .solver import FpnConfig, RootRecord, SolveStatus, fpn_solve
+from .solver import FpnConfig, IterationTrace, RootRecord, SolveStatus, _solve
 from .sweep import AlphaGrid, SweepReport, run_sweep, stability_probe
 from .targets import (
     REGISTRY_NAMES,
@@ -302,12 +302,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _require(args, "target", "x0", "alpha")
     target = make_target(args.target, k=args.k, coeffs=args.coeffs)
     x0 = parse_complex_vector(args.x0)
-    record, trace = fpn_solve(target, x0, _build_config(args, args.alpha))
+    # a manifest gives trace as text
+    trace = IterationTrace() if args.trace in (True, "true", "1", "yes") else None
+    record = _solve(target, x0, _build_config(args, args.alpha), trace)
 
     def table(out: TextIO) -> None:
         _print_record(record, out)
-        # a manifest gives trace as text
-        if args.trace in (True, "true", "1", "yes"):
+        if trace is not None:
             for i, (step, res) in enumerate(zip(trace.step_norms, trace.residual_norms), start=1):
                 point = ", ".join(format_complex(complex(z)) for z in trace.iterates[i])
                 out.write(f"  i={i:<4d} x=({point})  step={step:.5e}  residual={res:.5e}\n")

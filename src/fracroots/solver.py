@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -135,6 +136,38 @@ def _l2(v: np.ndarray) -> float:
     return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
 
 
+# Where _norm's Python sum of squares s cannot decide, it takes _l2: below the
+# smallest normal float s has lost relative precision, at or above _HUGE it
+# nears overflow, and within a relative _MARGIN of the bound's square the few
+# ulps between s and _l2's square might decide.  The margin dwarfs those ulps
+# for any vector of under ~10^5 components.
+_TINY = sys.float_info.min
+_HUGE = 1e300
+_MARGIN = 1e-10
+
+
+def _band(t: float) -> tuple[float, float]:
+    # the squares around t * t for which _norm takes _l2
+    t2 = t * t
+    return t2 * (1.0 - _MARGIN), t2 * (1.0 + _MARGIN)
+
+
+def _norm(zs: list[complex], band: tuple[float, float]) -> float:
+    """A stand-in for _l2 of the vector with components zs, in a test
+    against the bound t with band = _band(t): it is finite, and compares with
+    t, exactly as _l2 would.  It is the square root of a sum of squares in
+    Python floats.  Every term is >= 0, so the sum is within a few ulps of
+    _l2's, whose dot products may fuse a*a + b*b; _l2 itself is taken only
+    where the sum cannot decide (see _MARGIN)."""
+    s = 0.0
+    for z in zs:
+        s += z.real * z.real + z.imag * z.imag
+    lo, hi = band
+    if _TINY <= s < _HUGE and not lo <= s <= hi:
+        return math.sqrt(s)
+    return _l2(np.array(zs, dtype=np.complex128))
+
+
 def _abs(z: complex) -> float:
     """_l2 of the 1-component vector [z], bitwise: a dot product of length
     one rounds re*re once, as Python does.  Longer vectors need _l2, whose
@@ -243,17 +276,30 @@ def _solve(
     epsilon = config.epsilon
     rg = recip_gamma(1.0 - alpha)
     threshold = 10.0 ** (-config.round_exponent_m)
-    # a 1-component iterate takes its norms from the component lists
+    # A 1-component iterate takes its exact norms from the component lists.
+    # A longer one decides its tests from _norm's stand-ins, and takes exact
+    # norms only where they are kept: in the trace and in the record.
     one = x.shape[0] == 1
+    step_band = _band(config.tol_step)
+    res_band = _band(config.tol_residual)
+    bound_band = _band(config.divergence_bound)
     step = math.inf
     res = math.inf
+    xp = x  # the iterate before x, once a step is taken
 
-    def finish(status: SolveStatus, root: np.ndarray, iterations: int) -> RootRecord:
+    def finish(status: SolveStatus, iterations: int) -> RootRecord:
+        s, r = step, res
+        if not one:
+            # a non-finite stand-in is exact already, as are the loop's infs
+            if math.isfinite(s):
+                s = _l2(x - xp)
+            if math.isfinite(r):
+                r = _l2(fx)
         return RootRecord(
             alpha=alpha,
-            root=root.copy(),
-            step_norm=step,
-            residual_norm=res,
+            root=x.copy(),
+            step_norm=s,
+            residual_norm=r,
             iterations=iterations,
             status=status,
         )
@@ -262,34 +308,35 @@ def _solve(
         try:
             fx = _target_vector(f.evaluate(x))
         except (EvaluationError, OverflowError, ZeroDivisionError):
-            return finish(SolveStatus.NumericalFailure, x, 0)
+            return finish(SolveStatus.NumericalFailure, 0)
 
         for i in range(1, config.max_iter + 1):
             try:
                 y, ys = _advance(x, _p_entries(zs, alpha, rg, epsilon), fx, threshold)
             except NumericalFailureError:
-                return finish(SolveStatus.NumericalFailure, x, i)
-            step = _abs(ys[0] - zs[0]) if one else _l2(y - x)
-            zs = ys
+                return finish(SolveStatus.NumericalFailure, i)
+            if one:
+                step = _abs(ys[0] - zs[0])
+            else:
+                step = _norm([a - b for a, b in zip(ys, zs)], step_band)
+            xp, x, zs = x, y, ys
             try:
-                fy = _target_vector(f.evaluate(y))
+                fx = _target_vector(f.evaluate(x))
             except (EvaluationError, OverflowError, ZeroDivisionError):
                 res = math.inf
-                return finish(SolveStatus.NumericalFailure, y, i)
-            res = _abs(fy.item()) if one else _l2(fy)
+                return finish(SolveStatus.NumericalFailure, i)
+            res = _abs(fx.item()) if one else _norm(fx.tolist(), res_band)
             if trace is not None:
-                trace.iterates.append(y.copy())
-                trace.step_norms.append(step)
-                trace.residual_norms.append(res)
+                trace.iterates.append(x.copy())
+                trace.step_norms.append(step if one else _l2(x - xp))
+                trace.residual_norms.append(res if one else _l2(fx))
             if not math.isfinite(res):
-                return finish(SolveStatus.NumericalFailure, y, i)
+                return finish(SolveStatus.NumericalFailure, i)
             if step <= config.tol_step and res <= config.tol_residual:
-                return finish(SolveStatus.Converged, y, i)
-            if (_abs(zs[0]) if one else _l2(y)) > config.divergence_bound:
-                return finish(SolveStatus.Diverged, y, i)
-            x = y
-            fx = fy
-    return finish(SolveStatus.MaxIterations, x, config.max_iter)
+                return finish(SolveStatus.Converged, i)
+            if (_abs(zs[0]) if one else _norm(zs, bound_band)) > config.divergence_bound:
+                return finish(SolveStatus.Diverged, i)
+        return finish(SolveStatus.MaxIterations, config.max_iter)
 
 
 def estimate_convergence_order(trace: IterationTrace) -> tuple[float, float]:

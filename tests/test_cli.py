@@ -231,6 +231,18 @@ class TestSolveCommand:
         assert code == 0
         assert "i=1" in out
 
+    def test_trace_leaves_record_line_unchanged(self, capsys):
+        # a traced solve keeps exact norms on every iteration, an untraced one
+        # only where they decide or are recorded
+        argv = ["solve", "--target", "example3", "--x0", "0.86,0.86", "--alpha", "1.19"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--trace"]) == 0
+        record_line, *iterations = capsys.readouterr().out.splitlines()
+        assert plain == record_line + "\n"
+        assert "status=Converged  n=110" in record_line
+        assert len(iterations) == 110
+
     def test_manifest_supplies_defaults(self, capsys, tmp_path):
         path = tmp_path / "m.manifest"
         path.write_text("target=poly\ncoeffs=1,0,-1\nx0=3\nalpha=0.8\n")

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracroots.errors import DomainError, EvaluationError, InsufficientDataError, NumericalFailureError
@@ -17,7 +17,9 @@ from fracroots.solver import (
     RootRecord,
     SolveStatus,
     _abs,
+    _band,
     _l2,
+    _norm,
     beta_exponent,
     build_p_matrix,
     estimate_convergence_order,
@@ -446,6 +448,14 @@ def _trace_bits(trace):
     )
 
 
+def _p_overflow_trap():
+    # At alpha 1.5 from (2, 1): step 1 puts x1 at 0, step 2 at about -1e-302,
+    # and step 3 fails because that component's P entry overflows.  The
+    # record must carry the exact norms of step 2.
+    p0 = recip_gamma(-0.5) * 2.0**-1.5 + 1e-3
+    return TargetFunction("p-overflow", 2, lambda v: np.array([(v[0] - 1e-300) / p0, v[1] / 2]))
+
+
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize(
         "target,x0,grid,statuses",
@@ -460,8 +470,12 @@ class TestMatchesReferenceLoop:
              {"Converged", "MaxIterations", "NumericalFailure"}),
             (polynomial([-1, 0, 0, 0]), vec(2 + 0j), AlphaGrid(-1.5, 1.5, 0.1),
              {"Diverged"}),
+            (_p_overflow_trap(), vec(2, 1), AlphaGrid(1.5, 1.6, 0.1),
+             {"NumericalFailure", "MaxIterations"}),
+            (TargetFunction("cube", 2, lambda v: -(v**3)), vec(2, 1 + 1j),
+             AlphaGrid(-1.5, 1.5, 0.1), {"Diverged", "MaxIterations"}),
         ],
-        ids=["ci", "si", "zeta-hasse", "example3", "poly"],
+        ids=["ci", "si", "zeta-hasse", "example3", "poly", "p-overflow", "cube-2d"],
     )
     def test_records_and_traces_are_bitwise_equal(self, target, x0, grid, statuses):
         base = FpnConfig(alpha=0.5)
@@ -488,6 +502,29 @@ _EDGE_FLOATS = st.one_of(
     st.sampled_from([s * 10.0 ** -m for s in (1.0, -1.0) for m in range(1, 13)]),
 )
 _EDGE_VECTORS = st.lists(st.builds(complex, _EDGE_FLOATS, _EDGE_FLOATS), min_size=1, max_size=4)
+# Vectors of 2-4 components at one scale each: the edge floats, ordinary
+# parts, parts whose squares are subnormal or vanish, and parts near 1e154,
+# where a square overflows.
+_TINY_PARTS = st.one_of(
+    st.sampled_from([0.0, 1e-310, -1e-310, 5e-324]),
+    st.floats(min_value=1e-165, max_value=1e-150),
+    st.floats(min_value=-1e-150, max_value=-1e-165),
+)
+_HUGE_PARTS = st.one_of(
+    st.floats(min_value=5e153, max_value=2e154), st.floats(min_value=-2e154, max_value=-5e153)
+)
+_NORM_VECTORS = st.one_of(
+    [
+        st.lists(st.builds(complex, parts, parts), min_size=2, max_size=4)
+        for parts in (_EDGE_FLOATS, st.floats(-10.0, 10.0), _TINY_PARTS, _HUGE_PARTS)
+    ]
+)
+
+
+def _nudge(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
 
 
 class TestBookkeepingProperties:
@@ -505,6 +542,24 @@ class TestBookkeepingProperties:
     @given(st.builds(complex, _EDGE_FLOATS, _EDGE_FLOATS))
     def test_one_component_norm_matches_linalg_norm(self, z):
         assert _bits([_abs(z)]) == _bits([_ref_l2(vec(z))])
+
+    @settings(max_examples=500)
+    @given(_NORM_VECTORS, st.sampled_from([1e-12, 1e-6, 1.0, 1e10, 1e-160, 1e160]))
+    # the Python sum of squares overflows where _l2's does not, and the reverse
+    @example([9.650433242397706e153 + 1.0286626244542964e146j,
+              9.307977853446841e153 + 7.263194940237429e145j], 1e-6)
+    @example([9.855055181316889e153 + 3.7981103175422455e145j,
+              9.091050591622e153 + 1.0650904008655672e146j], 1e-6)
+    def test_norm_stand_in_decides_as_l2(self, zs, tol):
+        # against a tolerance, and against _l2 itself moved by -4..+4 ulps
+        exact = _ref_l2(vec(*zs))
+        for t in [tol] + [_nudge(exact, ulps) for ulps in range(-4, 5)]:
+            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+                warnings.simplefilter("error")
+                got = _norm(zs, _band(t))
+            assert (got <= t) == (exact <= t)
+            assert (got > t) == (exact > t)
+            assert math.isfinite(got) == math.isfinite(exact)
 
     @settings(max_examples=200)
     @given(_EDGE_VECTORS, st.integers(min_value=1, max_value=12))
