@@ -62,6 +62,7 @@ _MANIFEST_KEYS = (
     "suite",
     "trace",
 ) + _CONFIG_KEYS
+_TRACE_TEXT = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,8 +303,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _require(args, "target", "x0", "alpha")
     target = make_target(args.target, k=args.k, coeffs=args.coeffs)
     x0 = parse_complex_vector(args.x0)
-    # a manifest gives trace as text
-    trace = IterationTrace() if args.trace in (True, "true", "1", "yes") else None
+    # --trace gives True, a manifest gives text
+    text = str(args.trace).lower()
+    if text not in _TRACE_TEXT:
+        choices = ", ".join(_TRACE_TEXT)
+        raise DomainError(f"trace must be one of {choices} in any case, got {args.trace!r}")
+    trace = IterationTrace() if _TRACE_TEXT[text] else None
     record = _solve(target, x0, _build_config(args, args.alpha), trace)
 
     def table(out: TextIO) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -126,53 +125,17 @@ def _all_finite(zs: list[complex]) -> bool:
     return all(map(cmath.isfinite, zs))
 
 
-def _l2(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-d complex vector, bitwise equal to
-    np.linalg.norm(v): the same two dot products, summed as Python floats.
-    Like np.linalg.norm it warns when a dot product overflows, unless called
-    under np.errstate(over="ignore") as the solve loop does."""
-    re = v.real
-    im = v.imag
-    return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
-
-
-# Where _norm's Python sum of squares s cannot decide, it takes _l2: below the
-# smallest normal float s has lost relative precision, at or above _HUGE it
-# nears overflow, and within a relative _MARGIN of the bound's square the few
-# ulps between s and _l2's square might decide.  The margin dwarfs those ulps
-# for any vector of under ~10^5 components.
-_TINY = sys.float_info.min
-_HUGE = 1e300
-_MARGIN = 1e-10
-
-
-def _band(t: float) -> tuple[float, float]:
-    # the squares around t * t for which _norm takes _l2
-    t2 = t * t
-    return t2 * (1.0 - _MARGIN), t2 * (1.0 + _MARGIN)
-
-
-def _norm(zs: list[complex], band: tuple[float, float]) -> float:
-    """A stand-in for _l2 of the vector with components zs, in a test
-    against the bound t with band = _band(t): it is finite, and compares with
-    t, exactly as _l2 would.  It is the square root of a sum of squares in
-    Python floats.  Every term is >= 0, so the sum is within a few ulps of
-    _l2's, whose dot products may fuse a*a + b*b; _l2 itself is taken only
-    where the sum cannot decide (see _MARGIN)."""
+def _norm(zs: list[complex]) -> float:
+    """Euclidean norm of the vector with complex components zs: the square
+    root of re*re + im*im summed in component order in Python floats.  It
+    gives the same bits on every platform and is within a few ulps of
+    np.linalg.norm, whose dot products may fuse a*a + b*b on some BLAS
+    builds.  It is inf where the sum overflows, and not finite where a part
+    is not."""
     s = 0.0
     for z in zs:
         s += z.real * z.real + z.imag * z.imag
-    lo, hi = band
-    if _TINY <= s < _HUGE and not lo <= s <= hi:
-        return math.sqrt(s)
-    return _l2(np.array(zs, dtype=np.complex128))
-
-
-def _abs(z: complex) -> float:
-    """_l2 of the 1-component vector [z], bitwise: a dot product of length
-    one rounds re*re once, as Python does.  Longer vectors need _l2, whose
-    dot products may fuse a*a + b*b into one rounding."""
-    return math.sqrt(z.real * z.real + z.imag * z.imag)
+    return math.sqrt(s)
 
 
 def beta_exponent(alpha: float, z: complex) -> float:
@@ -276,30 +239,15 @@ def _solve(
     epsilon = config.epsilon
     rg = recip_gamma(1.0 - alpha)
     threshold = 10.0 ** (-config.round_exponent_m)
-    # A 1-component iterate takes its exact norms from the component lists.
-    # A longer one decides its tests from _norm's stand-ins, and takes exact
-    # norms only where they are kept: in the trace and in the record.
-    one = x.shape[0] == 1
-    step_band = _band(config.tol_step)
-    res_band = _band(config.tol_residual)
-    bound_band = _band(config.divergence_bound)
     step = math.inf
     res = math.inf
-    xp = x  # the iterate before x, once a step is taken
 
     def finish(status: SolveStatus, iterations: int) -> RootRecord:
-        s, r = step, res
-        if not one:
-            # a non-finite stand-in is exact already, as are the loop's infs
-            if math.isfinite(s):
-                s = _l2(x - xp)
-            if math.isfinite(r):
-                r = _l2(fx)
         return RootRecord(
             alpha=alpha,
             root=x.copy(),
-            step_norm=s,
-            residual_norm=r,
+            step_norm=step,
+            residual_norm=res,
             iterations=iterations,
             status=status,
         )
@@ -315,26 +263,23 @@ def _solve(
                 y, ys = _advance(x, _p_entries(zs, alpha, rg, epsilon), fx, threshold)
             except NumericalFailureError:
                 return finish(SolveStatus.NumericalFailure, i)
-            if one:
-                step = _abs(ys[0] - zs[0])
-            else:
-                step = _norm([a - b for a, b in zip(ys, zs)], step_band)
-            xp, x, zs = x, y, ys
+            step = _norm([a - b for a, b in zip(ys, zs)])
+            x, zs = y, ys
             try:
                 fx = _target_vector(f.evaluate(x))
             except (EvaluationError, OverflowError, ZeroDivisionError):
                 res = math.inf
                 return finish(SolveStatus.NumericalFailure, i)
-            res = _abs(fx.item()) if one else _norm(fx.tolist(), res_band)
+            res = _norm(fx.tolist())
             if trace is not None:
                 trace.iterates.append(x.copy())
-                trace.step_norms.append(step if one else _l2(x - xp))
-                trace.residual_norms.append(res if one else _l2(fx))
+                trace.step_norms.append(step)
+                trace.residual_norms.append(res)
             if not math.isfinite(res):
                 return finish(SolveStatus.NumericalFailure, i)
             if step <= config.tol_step and res <= config.tol_residual:
                 return finish(SolveStatus.Converged, i)
-            if (_abs(zs[0]) if one else _norm(zs, bound_band)) > config.divergence_bound:
+            if _norm(zs) > config.divergence_bound:
                 return finish(SolveStatus.Diverged, i)
         return finish(SolveStatus.MaxIterations, config.max_iter)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .solver import FpnConfig, RootRecord, SolveStatus, _l2, _solve, as_complex_vector
+from .solver import FpnConfig, RootRecord, SolveStatus, _norm, _solve, as_complex_vector
 from .targets import TargetFunction
 
 __all__ = ["AlphaGrid", "UniqueRoot", "SweepReport", "run_sweep", "stability_probe"]
@@ -77,7 +77,7 @@ def _cluster_converged(records: list[RootRecord], cluster_tol: float) -> list[Un
         best_j = -1
         best_dist = math.inf
         for j, rep in enumerate(reps):
-            d = _l2(rec.root - rep)
+            d = _norm((rec.root - rep).tolist())
             if d < best_dist:
                 best_dist = d
                 best_j = j
@@ -123,6 +123,6 @@ def stability_probe(
     out = []
     for d in deltas:
         shifted = xiv + complex(float(d), 0.0)
-        value = float(np.linalg.norm(f.evaluate(shifted)))
+        value = _norm(as_complex_vector(f.evaluate(shifted)).tolist())
         out.append((float(d), value))
     return out

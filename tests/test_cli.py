@@ -232,8 +232,8 @@ class TestSolveCommand:
         assert "i=1" in out
 
     def test_trace_leaves_record_line_unchanged(self, capsys):
-        # a traced solve keeps exact norms on every iteration, an untraced one
-        # only where they decide or are recorded
+        # the trace keeps the norms the loop decides on, so tracing cannot
+        # move the record
         argv = ["solve", "--target", "example3", "--x0", "0.86,0.86", "--alpha", "1.19"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
@@ -242,6 +242,26 @@ class TestSolveCommand:
         assert plain == record_line + "\n"
         assert "status=Converged  n=110" in record_line
         assert len(iterations) == 110
+
+    def test_manifest_trace_text_is_case_blind(self, capsys, tmp_path):
+        path = tmp_path / "m.manifest"
+        path.write_text("target=poly\ncoeffs=1,0,-1\nx0=3\nalpha=0.8\ntrace=True\n")
+        assert main(["solve", "--manifest", str(path)]) == 0
+        record_line, *iterations = capsys.readouterr().out.splitlines()
+        assert "status=Converged  n=28" in record_line
+        assert len(iterations) == 28
+        path.write_text("target=poly\ncoeffs=1,0,-1\nx0=3\nalpha=0.8\ntrace=NO\n")
+        assert main(["solve", "--manifest", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_manifest_unknown_trace_text_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "m.manifest"
+        path.write_text("target=poly\ncoeffs=1,0,-1\nx0=3\nalpha=0.8\ntrace=on\n")
+        assert main(["solve", "--manifest", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trace must be one of" in captured.err
+        assert "'on'" in captured.err
 
     def test_manifest_supplies_defaults(self, capsys, tmp_path):
         path = tmp_path / "m.manifest"
