@@ -144,12 +144,14 @@ def beta_exponent(alpha: float, z: complex) -> float:
     return alpha if complex(z) != 0 else 1.0
 
 
-def _p_entries(zs: list[complex], alpha: float, rg: float, epsilon: float) -> np.ndarray:
-    # build_p_matrix on components zs, with rg = 1/Gamma(1 - alpha)
+def _p_entries(zs: list[complex], alpha: float, rg: float, epsilon: float) -> list[complex]:
+    # build_p_matrix on components zs, with rg = 1/Gamma(1 - alpha); every
+    # entry is complex, so the update multiplies complex by complex also on
+    # Pythons that multiply a float into a complex componentwise (3.14)
     entries = []
     for k, z in enumerate(zs):
         if z == 0:  # beta_exponent is 1 here
-            entries.append(epsilon)
+            entries.append(complex(epsilon))
             continue
         try:
             entries.append(rg * complex_power(z, -alpha) + epsilon)
@@ -157,54 +159,48 @@ def _p_entries(zs: list[complex], alpha: float, rg: float, epsilon: float) -> np
             raise NumericalFailureError(f"P-matrix entry overflowed at component {k}") from exc
     if not _all_finite(entries):
         raise NumericalFailureError("P-matrix contains non-finite entries")
-    return np.array(entries, dtype=np.complex128)
+    return entries
 
 
 def build_p_matrix(x, config: FpnConfig) -> np.ndarray:
     """Diagonal of P evaluated at x: z^(-beta)/Gamma(1-beta) + epsilon per
     component, collapsing to plain epsilon on zero components."""
     alpha = config.alpha
-    return _p_entries(
+    entries = _p_entries(
         as_complex_vector(x).tolist(), alpha, recip_gamma(1.0 - alpha), config.epsilon
     )
+    return np.array(entries, dtype=np.complex128)
 
 
-def _snap(v: np.ndarray, threshold: float) -> list[complex]:
-    # in place: zero every imaginary part with magnitude <= threshold, on the
-    # component list, which is returned
-    zs = v.tolist()
-    for k, z in enumerate(zs):
-        if abs(z.imag) <= threshold:
-            zs[k] = v[k] = complex(z.real, 0.0)
-    return zs
+def _snap(zs: list[complex], threshold: float) -> list[complex]:
+    # Rnd_m on components: imaginary parts of magnitude <= threshold become +0.0
+    return [complex(z.real, 0.0) if abs(z.imag) <= threshold else z for z in zs]
 
 
 def round_iterate(x, m: int) -> np.ndarray:
     """Snap components with |Im| <= 10^-m onto the real axis; idempotent."""
-    xv = as_complex_vector(x).copy()
-    _snap(xv, 10.0 ** (-m))
-    return xv
+    return np.array(_snap(as_complex_vector(x).tolist(), 10.0 ** (-m)), dtype=np.complex128)
 
 
 def _advance(
-    x: np.ndarray, p: np.ndarray, fx: np.ndarray, threshold: float
-) -> tuple[np.ndarray, list[complex]]:
-    # Rnd_m(x - P f(x)) and its components; NumericalFailureError on a
-    # non-finite iterate.  The update stays in numpy: its complex multiply
-    # may fuse a multiply and an add, so Python's would move the last bit.
-    y = x - p * fx
-    zs = _snap(y, threshold)
-    if not _all_finite(zs):
+    zs: list[complex], ps: list[complex], fs: list[complex], threshold: float
+) -> list[complex]:
+    # Rnd_m(x - P f(x)) on components; NumericalFailureError on a non-finite
+    # iterate.  Python rounds each real multiply and add of p * w on its own,
+    # so split real numpy arithmetic on a (B, n) batch gives the same bits.
+    ys = [z - p * w for z, p, w in zip(zs, ps, fs, strict=True)]
+    if not _all_finite(ys):
         raise NumericalFailureError("iterate contains non-finite components")
-    return y, zs
+    return _snap(ys, threshold)
 
 
 def fpn_step(x, f: "TargetFunction", config: FpnConfig) -> np.ndarray:
     """One update Rnd_m(x - P(x) f(x)).  Evaluation errors propagate."""
     xv = as_complex_vector(x)
-    fx = as_complex_vector(f.evaluate(xv))
-    y, _ = _advance(xv, build_p_matrix(xv, config), fx, 10.0 ** (-config.round_exponent_m))
-    return y
+    fs = as_complex_vector(f.evaluate(xv)).tolist()
+    ps = build_p_matrix(xv, config).tolist()
+    ys = _advance(xv.tolist(), ps, fs, 10.0 ** (-config.round_exponent_m))
+    return np.array(ys, dtype=np.complex128)
 
 
 def fpn_solve(
@@ -243,36 +239,30 @@ def _solve(
     res = math.inf
 
     def finish(status: SolveStatus, iterations: int) -> RootRecord:
-        return RootRecord(
-            alpha=alpha,
-            root=x.copy(),
-            step_norm=step,
-            residual_norm=res,
-            iterations=iterations,
-            status=status,
-        )
+        root = np.array(zs, dtype=np.complex128)
+        return RootRecord(alpha, root, step, res, iterations, status)
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            fx = _target_vector(f.evaluate(x))
+            fs = _target_vector(f.evaluate(x)).tolist()
         except (EvaluationError, OverflowError, ZeroDivisionError):
             return finish(SolveStatus.NumericalFailure, 0)
 
         for i in range(1, config.max_iter + 1):
             try:
-                y, ys = _advance(x, _p_entries(zs, alpha, rg, epsilon), fx, threshold)
+                ys = _advance(zs, _p_entries(zs, alpha, rg, epsilon), fs, threshold)
             except NumericalFailureError:
                 return finish(SolveStatus.NumericalFailure, i)
             step = _norm([a - b for a, b in zip(ys, zs)])
-            x, zs = y, ys
+            zs = ys
             try:
-                fx = _target_vector(f.evaluate(x))
+                fs = _target_vector(f.evaluate(np.array(zs, dtype=np.complex128))).tolist()
             except (EvaluationError, OverflowError, ZeroDivisionError):
                 res = math.inf
                 return finish(SolveStatus.NumericalFailure, i)
-            res = _norm(fx.tolist())
+            res = _norm(fs)
             if trace is not None:
-                trace.iterates.append(x.copy())
+                trace.iterates.append(np.array(zs, dtype=np.complex128))
                 trace.step_norms.append(step)
                 trace.residual_norms.append(res)
             if not math.isfinite(res):

@@ -19,6 +19,8 @@ from .targets import TargetFunction
 
 __all__ = ["AlphaGrid", "UniqueRoot", "SweepReport", "run_sweep", "stability_probe"]
 
+MAX_GRID_ORDERS = 1_000_000  # the largest shipped grid has 2,501 orders
+
 
 @dataclass(frozen=True)
 class AlphaGrid:
@@ -39,13 +41,20 @@ class AlphaGrid:
             raise DomainError(f"grid step must be positive, got {self.step!r}")
         if not self.integer_exclusion >= 1e-9:
             raise DomainError("integer exclusion must be at least 1e-9")
+        count = self._count()
+        if count > MAX_GRID_ORDERS:
+            raise DomainError(f"grid has {count:,} orders, more than {MAX_GRID_ORDERS:,}")
         if not self.values():
             raise DomainError("grid is empty after integer exclusion")
 
+    def _count(self) -> float:
+        # orders before integer exclusion; inf where span / step overflows
+        n = (self.hi - self.lo) / self.step + 1e-9
+        return math.floor(n) + 1 if n < math.inf else math.inf
+
     def values(self) -> list[float]:
-        count = int(math.floor((self.hi - self.lo) / self.step + 1e-9))
         out = []
-        for k in range(count + 1):
+        for k in range(self._count()):
             v = self.lo + k * self.step
             if abs(v - round(v)) >= self.integer_exclusion:
                 out.append(v)

@@ -466,6 +466,11 @@ class TestSweepCommand:
         rows = [json.loads(line) for line in out.splitlines() if line.strip()]
         assert all("alpha" in row for row in rows)
 
+    def test_unbounded_grid_exits_one(self, capsys):
+        argv = ["sweep", "--target", "poly", "--coeffs", "1,0,-1", "--x0", "3"]
+        assert main([*argv, "--grid", "-2:2:1e-12"]) == 1
+        assert "grid has 4,000,000,000,001 orders" in capsys.readouterr().err
+
     def test_missing_grid_exits_one(self, capsys):
         code = main(["sweep", "--target", "poly", "--coeffs", "1,0,-1", "--x0", "3"])
         assert code == 1

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import pickle
@@ -18,7 +19,9 @@ from fracroots.solver import (
     IterationTrace,
     RootRecord,
     SolveStatus,
+    _advance,
     _norm,
+    _snap,
     beta_exponent,
     build_p_matrix,
     estimate_convergence_order,
@@ -339,9 +342,10 @@ class TestFixedPointProperty:
 
 # --- reference loop -----------------------------------------------------------
 # The solver loop with its per-iteration bookkeeping written out plainly: each
-# norm a sum of re*re + im*im over the components in Python floats, P entries
-# and rounding component by component, and 1/Gamma(1 - alpha) recomputed on
-# every iteration.  The solver must reproduce it bit for bit.
+# norm a sum of re*re + im*im over the components in Python floats, the
+# update x - P f in split real numpy arithmetic, P entries and rounding
+# component by component, and 1/Gamma(1 - alpha) recomputed on every
+# iteration.  The solver must reproduce it bit for bit.
 
 
 def _ref_all_finite(v):
@@ -359,6 +363,15 @@ def _ref_norm(v):
 def _linalg_norm(v):
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.linalg.norm(v))
+
+
+def _split_update(x, p, f):
+    # x - p f with every real multiply and add rounded on its own, so no
+    # complex multiply kernel can fuse them
+    u = np.empty_like(x)
+    u.real = x.real - (p.real * f.real - p.imag * f.imag)
+    u.imag = x.imag - (p.real * f.imag + p.imag * f.real)
+    return u
 
 
 def _ref_p_matrix(x, config):
@@ -406,7 +419,8 @@ def _ref_solve(f, x0, config):
         return finish(SolveStatus.NumericalFailure, x, 0)
     for i in range(1, config.max_iter + 1):
         try:
-            y = _ref_round(x - _ref_p_matrix(x, config) * fx, config.round_exponent_m)
+            y = _split_update(x, _ref_p_matrix(x, config), fx)
+            y = _ref_round(y, config.round_exponent_m)
             if not _ref_all_finite(y):
                 raise NumericalFailureError("non-finite iterate")
         except NumericalFailureError:
@@ -536,6 +550,19 @@ _BATCHES = st.integers(min_value=1, max_value=4).flatmap(
         max_size=8,
     )
 )
+
+
+def _complex_rows(shape):
+    rows, n = shape
+    row = st.lists(st.builds(complex, _BATCH_PARTS, _BATCH_PARTS), min_size=n, max_size=n)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+# (z, p, f) batches of one (B, n) shape
+_UPDATE_BATCHES = st.tuples(st.integers(1, 8), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(*[_complex_rows(shape)] * 3)
+)
+
 # An exact sum of squares at most this far beyond or short of the largest
 # float may round either way: the float sum of 2-8 terms >= 0 is within a
 # relative 8 * 2^-53 of it.
@@ -591,6 +618,24 @@ class TestBookkeepingProperties:
                 s = s + (v.real[:, k] * v.real[:, k] + v.imag[:, k] * v.imag[:, k])
             batched = np.sqrt(s)
         assert _bits(batched) == _bits([_norm(row) for row in rows])
+
+    @settings(max_examples=200)
+    @given(_UPDATE_BATCHES, st.integers(min_value=1, max_value=12))
+    def test_update_is_reproduced_by_batched_numpy(self, batch, m):
+        # the contract a (B, n) engine relies on for x - P f(x): split real
+        # arithmetic over the whole batch, then Rnd_m, gives each row's
+        # _advance bit for bit, and a non-finite row fails as _advance does
+        z, p, f = (np.array(rows, dtype=np.complex128) for rows in batch)
+        threshold = 10.0 ** (-m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batched = _split_update(z, p, f)
+        for k, row in enumerate(batched.tolist()):
+            if not all(map(cmath.isfinite, row)):
+                with pytest.raises(NumericalFailureError):
+                    _advance(*(rows[k] for rows in batch), threshold)
+            else:
+                got = _advance(*(rows[k] for rows in batch), threshold)
+                assert _bits(got) == _bits(_snap(row, threshold))
 
     @settings(max_examples=200)
     @given(_EDGE_VECTORS, st.integers(min_value=1, max_value=12))

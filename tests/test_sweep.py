@@ -25,6 +25,16 @@ class TestAlphaGrid:
         assert abs(values[-1] - 0.35) < 1e-9
         assert len(values) == 305  # 311 points minus 6 inside the exclusion band
 
+    @pytest.mark.parametrize("step", [1e-12, 5e-324, 4e-6])
+    def test_too_many_orders_rejected_before_building(self, step):
+        # 4e12, inf and 1,000,001 orders; the first two would not fit in memory
+        message = r"grid has (\d[\d,]*|inf) orders, more than 1,000,000"
+        with pytest.raises(DomainError, match=message):
+            AlphaGrid(lo=-2.0, hi=2.0, step=step)
+
+    def test_finest_shipped_grid_allowed(self):
+        assert len(AlphaGrid(lo=-0.85, hi=-0.80, step=2e-5).values()) == 2501
+
     def test_empty_after_exclusion(self):
         with pytest.raises(DomainError):
             AlphaGrid(lo=-0.009, hi=0.009, step=0.002)
