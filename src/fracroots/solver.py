@@ -70,10 +70,11 @@ class FpnConfig:
             raise DomainError(f"alpha must lie in [-2, 2], got {self.alpha!r}")
         if abs(a - round(a)) < INTEGER_GUARD:
             raise DomainError(f"alpha must not be an integer, got {a!r}")
-        if not self.epsilon >= 0.0:
-            raise DomainError(f"epsilon must be nonnegative, got {self.epsilon!r}")
-        if not (self.tol_step > 0.0 and self.tol_residual > 0.0):
-            raise DomainError("tolerances must be positive")
+        # an infinite tolerance would report Converged at any finite point
+        if not 0.0 <= self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
+        if not (0.0 < self.tol_step < math.inf and 0.0 < self.tol_residual < math.inf):
+            raise DomainError("tolerances must be positive and finite")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if self.round_exponent_m < 1:

@@ -129,9 +129,13 @@ def stability_probe(
 ) -> list[tuple[float, float]]:
     """Residual norms at xi shifted along the real axis by each delta."""
     xiv = as_complex_vector(xi)
+    deltas = [float(d) for d in deltas]
+    infinite = [d for d in deltas if not math.isfinite(d)]
+    if infinite:
+        raise DomainError(f"probe offsets delta must be finite, got {infinite}")
     out = []
     for d in deltas:
-        shifted = xiv + complex(float(d), 0.0)
+        shifted = xiv + complex(d, 0.0)
         value = _norm(as_complex_vector(f.evaluate(shifted)).tolist())
-        out.append((float(d), value))
+        out.append((d, value))
     return out

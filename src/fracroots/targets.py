@@ -139,6 +139,41 @@ def _hasse_weights(k: int) -> np.ndarray:
     return weights
 
 
+# typed for the same reason as _hasse_weights
+@functools.lru_cache(typed=True)
+def _power_pairs(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent table that builds n^-x for n = 1..top from few exponentials.
+
+    The generators are 1..m and the primes up to top, with m the least value
+    for which every n <= top is a product gens[l] * gens[r]; n^-x is then
+    gens[l]^-x * gens[r]^-x, since n^-x is completely multiplicative.
+    Returns -log(gens) in clongdouble (gens[0] = 1, so its exponential is
+    exactly 1, and gens[1] = 2) and the (2, top) index pairs (l, r) of
+    n = 1..top, a generator n paired with 1.  Cached per top and read-only.
+    """
+    primes = {n for n in range(2, top + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))}
+
+    def size(d: int) -> int:
+        # the least m for which the factor d is a generator
+        return 1 if d in primes else d
+
+    def splits(n: int) -> list[int]:
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    m = max(min(max(size(d), size(n // d)) for d in splits(n)) for n in range(1, top + 1))
+    gens = sorted(set(range(1, m + 1)) | primes)
+    index = {g: i for i, g in enumerate(gens)}
+    pairs = [
+        next((index[d], index[n // d]) for d in splits(n) if d in index and n // d in index)
+        for n in range(1, top + 1)
+    ]
+    neg_log = -np.log(np.array(gens, dtype=np.longdouble)).astype(np.clongdouble)
+    pair_index = np.array(pairs, dtype=np.intp).T.copy()
+    neg_log.flags.writeable = False
+    pair_index.flags.writeable = False
+    return neg_log, pair_index
+
+
 def hasse_zeta(k: int) -> TargetFunction:
     """Globally convergent series for zeta, truncated at outer index k:
     f_k(x) = 1/(1 - 2^(1-x)) sum_{m=0}^{k} 2^-(m+1) sum_{p=0}^{m} (-1)^p C(m,p) (p+1)^(-x)
@@ -146,21 +181,23 @@ def hasse_zeta(k: int) -> TargetFunction:
     one sum with the exact weights c_p of _hasse_weights.  It is accumulated
     in 80-bit extended precision: at real x near -10 the alternating products
     reach ~1e15 while the sum is ~1e-3, which double precision cannot survive.
+    Exponentials are taken only at the generators of _power_pairs (20 of them
+    for k = 50); every other (p+1)^-x is a longdouble product of two generator
+    powers, and 2^(1-x) = 2 * 2^-x.
     """
     if k < 1:
         raise DomainError(f"series truncation must be >= 1, got k={k!r}")
-    weights = _hasse_weights(k)
-    log_steps = np.log(np.arange(1, k + 2, dtype=np.longdouble))
-    ln2 = np.log(np.longdouble(2))
-    one = np.clongdouble(1)
+    weights = _hasse_weights(k).astype(np.clongdouble)
+    neg_log, pair_index = _power_pairs(k + 1)
 
     def _eval(v: np.ndarray) -> np.ndarray:
-        z = np.clongdouble(complex(v[0]))
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            prefactor_denom = one - np.exp((one - z) * ln2)
+            powers = np.exp(neg_log * v[0])
+            prefactor_denom = 1 - 2 * powers[1]
             if abs(complex(prefactor_denom)) < 1e-12:
                 raise EvaluationError("pole of the series prefactor (2^(1-x) = 1)")
-            value = complex(weights @ np.exp(-z * log_steps) / prefactor_denom)
+            factors = powers[pair_index]
+            value = complex(weights @ (factors[0] * factors[1]) / prefactor_denom)
         return np.array([value], dtype=np.complex128)
 
     return TargetFunction("zeta-hasse", 1, _eval, truncation_k=k)

@@ -212,6 +212,17 @@ class TestSolveCommand:
         code = main(["solve", "--target", "mystery", "--x0", "1", "--alpha", "0.5"])
         assert code == 1
 
+    def test_infinite_tolerances_exit_one(self, capsys):
+        # with inf tolerances the first iterate, 0.386, was reported Converged
+        code = main(
+            ["solve", "--target", "poly", "--coeffs", "1,0,-1", "--x0", "3", "--alpha", "0.5",
+             "--tol-step", "inf", "--tol-residual", "inf"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "tolerances must be positive and finite" in captured.err
+
     def test_trace_output(self, capsys):
         code = main(
             [
@@ -541,6 +552,14 @@ class TestStabilityCommand:
         magnitudes = [float(ln.split("|f|=")[1]) for ln in lines]
         assert magnitudes[1] == 0.0
         assert all(2.4e3 <= m <= 9.6e3 for m in (magnitudes[0], magnitudes[2]))
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_exits_one(self, capsys, delta):
+        code = main(["stability", "--xi", "-40", "--delta", delta])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "probe offsets delta must be finite" in captured.err
 
     def test_polynomial_probe(self, capsys):
         code = main(

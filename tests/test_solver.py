@@ -64,6 +64,11 @@ class TestFpnConfig:
             {"max_iter": 0},
             {"round_exponent_m": 0},
             {"divergence_bound": 0.0},
+            {"epsilon": math.inf},
+            {"epsilon": math.nan},
+            {"tol_step": math.inf},
+            {"tol_residual": math.inf},
+            {"tol_step": math.nan},
         ],
     )
     def test_knob_validation(self, kwargs):

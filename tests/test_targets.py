@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from fracroots.errors import DomainError, EvaluationError
 from fracroots.targets import (
     EULER_MASCHERONI,
     _hasse_weights,
+    _power_pairs,
     ci_series,
     example3_system,
     hasse_zeta,
@@ -42,6 +44,24 @@ def truncated(x, k=50):
             for m in range(k + 1)
         )
         return complex(rows / (1 - mp.mpf(2) ** (1 - x)))
+
+
+@functools.cache
+def _exact_weights(k):
+    weights = (
+        sum(Fraction((-1) ** p * math.comb(m, p), 2 ** (m + 1)) for m in range(p, k + 1))
+        for p in range(k + 1)
+    )
+    return [mp.mpf(w.numerator) / w.denominator for w in weights]
+
+
+def collapsed(x, k=50):
+    """The same truncated series as one sum with exact rational weights, at 50
+    digits; far cheaper than the double sum."""
+    with mp.workdps(50):
+        x = mp.mpmathify(x)
+        total = mp.fsum(w * mp.mpf(p + 1) ** -x for p, w in enumerate(_exact_weights(k)))
+        return complex(total / (1 - mp.mpf(2) ** (1 - x)))
 
 
 finite_complex = st.complex_numbers(
@@ -263,10 +283,57 @@ class TestHasseZeta:
         for z in points:
             assert abs(ev(f, z) - truncated(z)) <= 1e-12, z
 
+    def test_accuracy_contract(self):
+        # Within the 80-bit noise of the largest terms: S(x) is the sum of the
+        # term magnitudes over |prefactor|, and every term's exponent -x ln(p+1)
+        # is rounded, hence the |x| ln 51 factor.  Seeded sample plus the real
+        # points where the terms cancel worst.
+        f = hasse_zeta(50)
+        magnitudes = np.abs(_hasse_weights(50).astype(float))
+        bases = np.arange(1, 52, dtype=float)
+        rng = np.random.default_rng(19)
+        sample = rng.uniform(-14.0, 3.0, 200) + 1j * rng.uniform(-50.0, 50.0, 200)
+        for z in [*sample, -14.0, -12.0002, -12.0, -10.0, -6.0, -2.0]:
+            z = complex(z)
+            ref = collapsed(z)
+            scale = float(magnitudes @ bases ** -z.real) / abs(1 - 2 ** (1 - z))
+            bound = 8 * 2.0 ** -64 * scale * (1 + abs(z) * math.log(51)) + 2.0 ** -52 * abs(ref)
+            assert abs(ev(f, z) - ref) <= bound, z
+
+    def test_collapsed_reference_is_the_double_sum(self):
+        for z in (-12.0002 + 0j, -3.5 + 20j, 0.5 + 31.51j, 2.5 - 41j):
+            assert collapsed(z) == pytest.approx(truncated(z), rel=1e-15, abs=1e-300), z
+
+    def test_power_pairs_build_every_base(self):
+        for top in range(2, 62):
+            neg_log, pairs = _power_pairs(top)
+            assert not neg_log.imag.any()
+            gens = [round(float(np.exp(-v.real))) for v in neg_log]
+            assert np.array_equal(neg_log, -np.log(np.array(gens, dtype=np.longdouble)))
+            assert gens[:2] == [1, 2]
+            assert pairs.shape == (2, top)
+            for n, (left, right) in enumerate(pairs.T, start=1):
+                assert gens[left] * gens[right] == n, (top, n)
+
+    def test_power_pairs_exponential_counts(self):
+        neg_log, _ = _power_pairs(51)
+        gens = [round(float(np.exp(-v.real))) for v in neg_log]
+        assert gens == [1, *range(2, 11), 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+        assert np.count_nonzero(neg_log) == 20  # exp(0) for the generator 1
+        assert np.count_nonzero(_power_pairs(201)[0]) == 61
+
+    def test_power_pairs_cached_read_only(self):
+        neg_log, pairs = _power_pairs(51)
+        assert _power_pairs(51)[0] is neg_log
+        for table in (neg_log, pairs):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[..., 0] = 0
+
     @pytest.mark.xfail(
         strict=True,
-        reason="the weighted sum, accumulated in 80 bits, is off by 3.0e-6 at x = -12 and "
-        "3.4e-5 at -12.0002, above the solver's 1e-6 residual tolerance, so a zeta sweep "
+        reason="the weighted sum, accumulated in 80 bits, is off by 1.6e-5 at x = -12 and "
+        "4.6e-5 at -12.0002, above the solver's 1e-6 residual tolerance, so a zeta sweep "
         "can report Converged near -12 where the truncated series is not small",
     )
     def test_matches_truncated_series_near_minus_twelve(self):
