@@ -69,9 +69,10 @@ class _Parser(argparse.ArgumentParser):
     # usage problems exit 1, not argparse's default 2
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # accept values like "-1.2:0.35:0.005" or "-0.15,1.14" without
-        # forcing --flag=value; no option name starts with a digit
-        self._negative_number_matcher = re.compile(r"^-(\d|\.\d)")
+        # accept values like "-1.2:0.35:0.005", "-0.15,1.14" or "-i" without
+        # forcing --flag=value; no option name starts with a digit, ".", "i"
+        # or "j" (the imaginary unit parse_complex accepts)
+        self._negative_number_matcher = re.compile(r"^-[\d.ij]")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

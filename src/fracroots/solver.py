@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -106,6 +107,13 @@ class RootRecord:
     residual_norm: float
     iterations: int
     status: SolveStatus
+
+
+# target failures that end a run as NumericalFailure
+_EVALUATION_ERRORS = (EvaluationError, OverflowError, ZeroDivisionError)
+# most runs a sweep keeps in flight, and so most rows per batched target
+# call: it bounds the engine's run states and the evaluators' block arrays
+_BLOCK_ROWS = 64
 
 
 def as_complex_vector(x) -> np.ndarray:
@@ -217,19 +225,48 @@ def fpn_solve(
     return _solve(f, x0, config, trace), trace
 
 
-def _solve(
-    f: "TargetFunction", x0, config: FpnConfig, trace: IterationTrace | None = None
-) -> RootRecord:
-    # fpn_solve, recording the iterates and norms in trace when one is given
+def _start(f: "TargetFunction", x0) -> np.ndarray:
+    # the initial condition as a vector, checked against the target
     x = as_complex_vector(x0)
     if x.shape[0] != f.dimension:
         raise DomainError(
             f"initial condition has dimension {x.shape[0]}, target needs {f.dimension}"
         )
-    zs = x.tolist()
-    if not _all_finite(zs):
+    if not _all_finite(x.tolist()):
         raise DomainError("initial condition must be finite")
+    return x
 
+
+def _verdict(
+    step: float, res: float, zs: list[complex], config: FpnConfig, i: int
+) -> SolveStatus | None:
+    """How a run ends after iteration i with these norms and iterate zs, or
+    None if it goes on."""
+    if not math.isfinite(res):
+        return SolveStatus.NumericalFailure
+    if step <= config.tol_step and res <= config.tol_residual:
+        return SolveStatus.Converged
+    if _norm(zs) > config.divergence_bound:
+        return SolveStatus.Diverged
+    if i >= config.max_iter:
+        return SolveStatus.MaxIterations
+    return None
+
+
+def _evaluate_one(f: "TargetFunction", zs: list[complex]) -> list[complex] | None:
+    # f at one iterate, None where the target fails
+    try:
+        return _target_vector(f.evaluate(np.array(zs, dtype=np.complex128))).tolist()
+    except _EVALUATION_ERRORS:
+        return None
+
+
+def _solve(
+    f: "TargetFunction", x0, config: FpnConfig, trace: IterationTrace | None = None
+) -> RootRecord:
+    # fpn_solve, recording the iterates and norms in trace when one is given
+    x = _start(f, x0)
+    zs = x.tolist()
     if trace is not None:
         trace.iterates.append(x.copy())
     alpha = config.alpha
@@ -244,21 +281,19 @@ def _solve(
         return RootRecord(alpha, root, step, res, iterations, status)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            fs = _target_vector(f.evaluate(x)).tolist()
-        except (EvaluationError, OverflowError, ZeroDivisionError):
+        fs = _evaluate_one(f, zs)
+        if fs is None:
             return finish(SolveStatus.NumericalFailure, 0)
 
-        for i in range(1, config.max_iter + 1):
+        for i in itertools.count(1):
             try:
                 ys = _advance(zs, _p_entries(zs, alpha, rg, epsilon), fs, threshold)
             except NumericalFailureError:
                 return finish(SolveStatus.NumericalFailure, i)
             step = _norm([a - b for a, b in zip(ys, zs)])
             zs = ys
-            try:
-                fs = _target_vector(f.evaluate(np.array(zs, dtype=np.complex128))).tolist()
-            except (EvaluationError, OverflowError, ZeroDivisionError):
+            fs = _evaluate_one(f, zs)
+            if fs is None:
                 res = math.inf
                 return finish(SolveStatus.NumericalFailure, i)
             res = _norm(fs)
@@ -266,13 +301,96 @@ def _solve(
                 trace.iterates.append(np.array(zs, dtype=np.complex128))
                 trace.step_norms.append(step)
                 trace.residual_norms.append(res)
-            if not math.isfinite(res):
-                return finish(SolveStatus.NumericalFailure, i)
-            if step <= config.tol_step and res <= config.tol_residual:
-                return finish(SolveStatus.Converged, i)
-            if _norm(zs) > config.divergence_bound:
-                return finish(SolveStatus.Diverged, i)
-        return finish(SolveStatus.MaxIterations, config.max_iter)
+            status = _verdict(step, res, zs, config, i)
+            if status is not None:
+                return finish(status, i)
+
+
+class _Run:
+    """One order's state in a lockstep solve: the locals of its _solve."""
+
+    __slots__ = ("index", "alpha", "rg", "zs", "fs", "step", "res", "iterations")
+
+    def __init__(self, index: int, alpha: float, zs: list[complex], fs: list[complex] | None):
+        self.index = index
+        self.alpha = alpha
+        self.rg = recip_gamma(1.0 - alpha)
+        self.zs = zs
+        self.fs = fs
+        self.step = math.inf
+        self.res = math.inf
+        self.iterations = 0
+
+    def record(self, status: SolveStatus) -> RootRecord:
+        root = np.array(self.zs, dtype=np.complex128)
+        return RootRecord(self.alpha, root, self.step, self.res, self.iterations, status)
+
+
+def _evaluate_rows(f: "TargetFunction", rows: list[list[complex]]) -> list[list[complex] | None]:
+    """f at every iterate in rows, None where the target fails, from one
+    evaluate_batch call.  If that call fails, or the target has no
+    evaluate_batch, the rows are evaluated one by one, so a failure lands on
+    its own row."""
+    if rows and f.evaluate_batch is not None:
+        x = np.array(rows, dtype=np.complex128)
+        try:
+            values = f.evaluate_batch(x)
+        except _EVALUATION_ERRORS:
+            pass
+        else:
+            if values.shape != x.shape:
+                raise ValueError(f"evaluate_batch returned shape {values.shape} for {x.shape}")
+            return values.tolist()
+    return [_evaluate_one(f, zs) for zs in rows]
+
+
+def _solve_lockstep(
+    f: "TargetFunction", x0, config: FpnConfig, alphas: list[float]
+) -> list[RootRecord]:
+    """_solve at config with each order in alphas, from the same x0; every
+    record is bitwise the one _solve gives.
+
+    Up to _BLOCK_ROWS runs advance in lockstep: each step does every live
+    run's Python update, evaluates the target at all the new iterates in one
+    _evaluate_rows call, and replaces the runs that ended by the next orders.
+    """
+    zs0 = _start(f, x0).tolist()
+    epsilon = config.epsilon
+    threshold = 10.0 ** (-config.round_exponent_m)
+    records: list = [None] * len(alphas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs0 = _evaluate_one(f, zs0)
+        if fs0 is None:
+            failed = SolveStatus.NumericalFailure
+            return [_Run(j, a, zs0, fs0).record(failed) for j, a in enumerate(alphas)]
+        orders = enumerate(alphas)
+        runs: list[_Run] = []
+        while True:
+            for j, alpha in itertools.islice(orders, _BLOCK_ROWS - len(runs)):
+                runs.append(_Run(j, alpha, zs0, fs0))
+            if not runs:
+                return records
+            moved = []
+            for run in runs:
+                run.iterations += 1
+                try:
+                    ps = _p_entries(run.zs, run.alpha, run.rg, epsilon)
+                    ys = _advance(run.zs, ps, run.fs, threshold)
+                except NumericalFailureError:
+                    records[run.index] = run.record(SolveStatus.NumericalFailure)
+                    continue
+                run.step = _norm([a - b for a, b in zip(ys, run.zs)])
+                run.zs = ys
+                moved.append(run)
+            runs = []
+            for run, fs in zip(moved, _evaluate_rows(f, [run.zs for run in moved])):
+                run.fs = fs
+                run.res = math.inf if fs is None else _norm(fs)
+                status = _verdict(run.step, run.res, run.zs, config, run.iterations)
+                if status is None:
+                    runs.append(run)
+                else:
+                    records[run.index] = run.record(status)
 
 
 def estimate_convergence_order(trace: IterationTrace) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .solver import FpnConfig, RootRecord, SolveStatus, _norm, _solve, as_complex_vector
+from .solver import FpnConfig, RootRecord, SolveStatus, _norm, _solve_lockstep, as_complex_vector
 from .targets import TargetFunction
 
 __all__ = ["AlphaGrid", "UniqueRoot", "SweepReport", "run_sweep", "stability_probe"]
@@ -44,8 +44,15 @@ class AlphaGrid:
         count = self._count()
         if count > MAX_GRID_ORDERS:
             raise DomainError(f"grid has {count:,} orders, more than {MAX_GRID_ORDERS:,}")
-        if not self.values():
+        orders = []
+        for k in range(count):
+            v = self.lo + k * self.step
+            if abs(v - round(v)) >= self.integer_exclusion:
+                orders.append(v)
+        if not orders:
             raise DomainError("grid is empty after integer exclusion")
+        # built once: every sweep over this grid shares the order floats
+        object.__setattr__(self, "_orders", tuple(orders))
 
     def _count(self) -> float:
         # orders before integer exclusion; inf where span / step overflows
@@ -53,12 +60,7 @@ class AlphaGrid:
         return math.floor(n) + 1 if n < math.inf else math.inf
 
     def values(self) -> list[float]:
-        out = []
-        for k in range(self._count()):
-            v = self.lo + k * self.step
-            if abs(v - round(v)) >= self.integer_exclusion:
-                out.append(v)
-        return out
+        return list(self._orders)
 
 
 @dataclass(frozen=True)
@@ -111,16 +113,18 @@ def run_sweep(
 ) -> SweepReport:
     """Solve once per grid order from the same initial condition.
 
-    Per-run failures are recorded, never raised; the unique-root list keeps
-    the first-seen representative of each cluster and its best record.
+    The orders advance in lockstep and share batched target calls; each
+    record is bitwise the one a solve at that order alone gives.  Per-run
+    failures are recorded, never raised; the unique-root list keeps the
+    first-seen representative of each cluster and its best record.
     """
     if not cluster_tol > 0.0:
         raise DomainError(f"cluster_tol must be positive, got {cluster_tol!r}")
-    x0v = as_complex_vector(x0)
-    records = []
-    for alpha in grid.values():
-        config = dataclasses.replace(base_config, alpha=alpha)
-        records.append(_solve(f, x0v, config))
+    alphas = grid.values()
+    for alpha in alphas:
+        # each order is checked as a solve at that order alone checks it
+        dataclasses.replace(base_config, alpha=alpha)
+    records = _solve_lockstep(f, x0, base_config, alphas)
     return SweepReport(records=records, unique_roots=_cluster_converged(records, cluster_tol))
 
 

@@ -46,19 +46,56 @@ REGISTRY_NAMES = ("ci", "si", "zeta-hasse", "example3", "poly")
 class TargetFunction:
     """Evaluatable f: C^n -> C^n with dimension and truncation metadata.
 
-    evaluate must be deterministic and side-effect-free.
+    evaluate must be deterministic and side-effect-free.  evaluate_batch, if
+    given, maps a (B, n) complex128 array to a (B, n) one whose every row
+    equals evaluate on that row bit for bit; where evaluate fails on any row,
+    it raises EvaluationError, OverflowError or ZeroDivisionError.
     """
 
     name: str
     dimension: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     truncation_k: int | None = None
+    evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _complex_fsum(terms: list[complex]) -> complex:
     # correctly rounded sum of each component; the alternating series here
     # have intermediate terms up to ~1e11 at the outer roots
     return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+
+
+def _row_fsum(terms_re: np.ndarray, terms_im: np.ndarray) -> complex:
+    # _complex_fsum of one batch row of terms
+    return complex(math.fsum(terms_re.tolist()), math.fsum(terms_im.tolist()))
+
+
+def _series_terms(
+    coeffs: np.ndarray, re: np.ndarray, im: np.ndarray, z2re: np.ndarray, z2im: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terms c_j * power_j of a batch, power_0 = re + i im and power_j =
+    power_{j-1} * z2, as (B, len(coeffs)) arrays of real and imaginary parts.
+
+    Split real arithmetic rounds every multiply and add on its own, as
+    Python's complex product does, so each row is bitwise the Python terms
+    complex(c_j, 0.0) * power_j, infinities and NaNs included.
+    """
+    power_re = np.empty((len(coeffs), len(re)))
+    power_im = np.empty_like(power_re)
+    power_re[0], power_im[0] = re, im
+    for j in range(1, len(coeffs)):
+        pr, pi = power_re[j - 1], power_im[j - 1]
+        np.subtract(pr * z2re, pi * z2im, out=power_re[j])
+        np.add(pr * z2im, pi * z2re, out=power_im[j])
+    c = coeffs[:, None]
+    terms_re = c * power_re - 0.0 * power_im
+    terms_im = c * power_im + 0.0 * power_re
+    return terms_re.T, terms_im.T
+
+
+def _square(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # re and im of z*z, rounded as Python's complex product rounds them
+    return re * re - im * im, re * im + im * re
 
 
 def _inverse_of_int(denominator: int) -> float:
@@ -76,10 +113,10 @@ def ci_series(k: int) -> TargetFunction:
     """
     if k < 1:
         raise DomainError(f"series truncation must be >= 1, got k={k!r}")
-    coeffs = []
-    for m in range(1, k + 1):
-        mag = _inverse_of_int(2 * m * math.factorial(2 * m))
-        coeffs.append(-mag if m % 2 else mag)
+    mags = [_inverse_of_int(2 * m * math.factorial(2 * m)) for m in range(1, k + 1)]
+    reals = np.array([-mag if m % 2 else mag for m, mag in enumerate(mags, start=1)])
+    # complex coefficients: complex x complex terms on every Python version
+    coeffs = [complex(c, 0.0) for c in reals.tolist()]
 
     def _eval(v: np.ndarray) -> np.ndarray:
         z = complex(v[0])
@@ -94,7 +131,22 @@ def ci_series(k: int) -> TargetFunction:
         acc = _complex_fsum(terms)
         return np.array([-EULER_MASCHERONI - cmath.log(z) - acc], dtype=np.complex128)
 
-    return TargetFunction("ci", 1, _eval, truncation_k=k)
+    def _eval_batch(x: np.ndarray) -> np.ndarray:
+        if np.any(x[:, 0] == 0):
+            raise EvaluationError("logarithmic singularity at x = 0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            z2re, z2im = _square(x[:, 0].real, x[:, 0].imag)
+            # the first power *= z2, from power = 1+0j
+            first_re = 1.0 * z2re - 0.0 * z2im
+            first_im = 1.0 * z2im + 0.0 * z2re
+            terms_re, terms_im = _series_terms(reals, first_re, first_im, z2re, z2im)
+        values = [
+            -EULER_MASCHERONI - cmath.log(z) - _row_fsum(tr, ti)
+            for z, tr, ti in zip(x[:, 0].tolist(), terms_re, terms_im)
+        ]
+        return np.array(values, dtype=np.complex128).reshape(-1, 1)
+
+    return TargetFunction("ci", 1, _eval, truncation_k=k, evaluate_batch=_eval_batch)
 
 
 def si_series(k: int) -> TargetFunction:
@@ -103,10 +155,10 @@ def si_series(k: int) -> TargetFunction:
     """
     if k < 1:
         raise DomainError(f"series truncation must be >= 1, got k={k!r}")
-    coeffs = []
-    for m in range(k + 1):
-        mag = _inverse_of_int((2 * m + 1) * math.factorial(2 * m + 1))
-        coeffs.append(-mag if m % 2 else mag)
+    mags = [_inverse_of_int((2 * m + 1) * math.factorial(2 * m + 1)) for m in range(k + 1)]
+    reals = np.array([-mag if m % 2 else mag for m, mag in enumerate(mags)])
+    # complex coefficients: complex x complex terms on every Python version
+    coeffs = [complex(c, 0.0) for c in reals.tolist()]
     head, tail = coeffs[0], coeffs[1:]
 
     def _eval(v: np.ndarray) -> np.ndarray:
@@ -120,7 +172,14 @@ def si_series(k: int) -> TargetFunction:
         acc = _complex_fsum(terms)
         return np.array([0.5 * math.pi - acc], dtype=np.complex128)
 
-    return TargetFunction("si", 1, _eval, truncation_k=k)
+    def _eval_batch(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = x[:, 0].real, x[:, 0].imag
+            terms_re, terms_im = _series_terms(reals, re, im, *_square(re, im))
+        values = [0.5 * math.pi - _row_fsum(tr, ti) for tr, ti in zip(terms_re, terms_im)]
+        return np.array(values, dtype=np.complex128).reshape(-1, 1)
+
+    return TargetFunction("si", 1, _eval, truncation_k=k, evaluate_batch=_eval_batch)
 
 
 # typed, so that a non-int k fails in range() whatever k was cached before
@@ -200,7 +259,20 @@ def hasse_zeta(k: int) -> TargetFunction:
             value = complex(weights @ (factors[0] * factors[1]) / prefactor_denom)
         return np.array([value], dtype=np.complex128)
 
-    return TargetFunction("zeta-hasse", 1, _eval, truncation_k=k)
+    def _eval_batch(x: np.ndarray) -> np.ndarray:
+        # _eval's longdouble operations elementwise over a (B, G) block
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            powers = neg_log * x[:, :1]
+            np.exp(powers, out=powers)
+            prefactor_denom = 1 - 2 * powers[:, 1]
+            if any(abs(d) < 1e-12 for d in prefactor_denom.astype(np.complex128).tolist()):
+                raise EvaluationError("pole of the series prefactor (2^(1-x) = 1)")
+            products = powers[:, pair_index[0]]
+            products *= powers[:, pair_index[1]]
+            values = weights @ products.T / prefactor_denom
+            return values.astype(np.complex128).reshape(-1, 1)
+
+    return TargetFunction("zeta-hasse", 1, _eval, truncation_k=k, evaluate_batch=_eval_batch)
 
 
 def _log_sin_pi_half(x: complex) -> complex | None:
@@ -265,14 +337,20 @@ def zeta_functional_target(inner: TargetFunction | None = None, k: int = 50) -> 
     return TargetFunction("zeta-func", 1, _eval, truncation_k=inner_fn.truncation_k)
 
 
+def _rows(kernel: Callable[..., list[complex]]) -> Callable[[np.ndarray], np.ndarray]:
+    # evaluate_batch of a target whose evaluate is kernel(*components)
+    def evaluate_batch(x: np.ndarray) -> np.ndarray:
+        return np.array([kernel(*row) for row in x.tolist()], dtype=np.complex128)
+
+    return evaluate_batch
+
+
 def example3_system() -> TargetFunction:
     """2-d exponential-sine benchmark system."""
     quarter_pi_inv = 1.0 / (4.0 * math.pi)
     e = math.e
 
-    def _eval(v: np.ndarray) -> np.ndarray:
-        x1 = complex(v[0])
-        x2 = complex(v[1])
+    def kernel(x1: complex, x2: complex) -> list[complex]:
         try:
             f1 = 0.5 * x1 * (cmath.sin(x1 * x2) - 1.0) - quarter_pi_inv * x2
             f2 = (1.0 - quarter_pi_inv) * (cmath.exp(2.0 * x1) - e) + e * (
@@ -281,9 +359,12 @@ def example3_system() -> TargetFunction:
         except ValueError as exc:
             # cmath's domain error on an overflowed argument, e.g. x1 x2 = inf
             raise EvaluationError(f"example3 is undefined at ({x1!r}, {x2!r})") from exc
-        return np.array([f1, f2], dtype=np.complex128)
+        return [f1, f2]
 
-    return TargetFunction("example3", 2, _eval)
+    def _eval(v: np.ndarray) -> np.ndarray:
+        return np.array(kernel(complex(v[0]), complex(v[1])), dtype=np.complex128)
+
+    return TargetFunction("example3", 2, _eval, evaluate_batch=_rows(kernel))
 
 
 def polynomial(coeffs: Sequence[complex]) -> TargetFunction:
@@ -294,14 +375,16 @@ def polynomial(coeffs: Sequence[complex]) -> TargetFunction:
     if cs[0] == 0:
         raise DomainError("leading coefficient must be nonzero")
 
-    def _eval(v: np.ndarray) -> np.ndarray:
-        z = complex(v[0])
+    def kernel(z: complex) -> list[complex]:
         acc = cs[0]
         for c in cs[1:]:
             acc = acc * z + c
-        return np.array([acc], dtype=np.complex128)
+        return [acc]
 
-    return TargetFunction("poly", 1, _eval)
+    def _eval(v: np.ndarray) -> np.ndarray:
+        return np.array(kernel(complex(v[0])), dtype=np.complex128)
+
+    return TargetFunction("poly", 1, _eval, evaluate_batch=_rows(kernel))
 
 
 def parse_complex(text: str) -> complex:

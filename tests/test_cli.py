@@ -379,6 +379,25 @@ class TestArgumentChecks:
         assert captured.out == ""
         assert "argument --format: invalid choice: 'xml'" in captured.err
 
+    @pytest.mark.parametrize(
+        "command", [["solve", "--alpha", "0.5"], ["sweep", "--grid", "0.3:0.9:0.05"]]
+    )
+    @pytest.mark.parametrize("x0", ["-i", "-j", "-2i", "-inf"])
+    def test_x0_with_leading_dash_and_imaginary_unit(self, capsys, command, x0):
+        # "--x0 -i" is the value -i, as "--x0=-i" is, not an unknown option
+        argv = [command[0], "--target", "poly", "--coeffs", "1,0,1", "--format", "csv"]
+        argv += command[1:]
+        separate = main([*argv, "--x0", x0]), capsys.readouterr()
+        joined = main([*argv, f"--x0={x0}"]), capsys.readouterr()
+        assert separate == joined
+        if x0 == "-inf":
+            assert separate[0] == 1
+            assert "bad complex literal '-inf'" in separate[1].err
+        else:
+            assert separate[0] in (0, 2)
+            assert separate[1].err == ""
+            assert "\nalpha,status," in "\n" + separate[1].out
+
 
 class TestSweepCommand:
     def test_table_output(self, capsys):

@@ -1,14 +1,17 @@
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracroots.errors import DomainError
-from fracroots.solver import FpnConfig, SolveStatus
+from fracroots import solver
+from fracroots.errors import DomainError, EvaluationError
+from fracroots.solver import FpnConfig, SolveStatus, fpn_solve
 from fracroots.sweep import AlphaGrid, run_sweep, stability_probe
-from fracroots.targets import polynomial, zeta_functional_target
+from fracroots.targets import TargetFunction, make_target, polynomial, zeta_functional_target
 
 
 class TestAlphaGrid:
@@ -176,3 +179,151 @@ class TestStabilityProbe:
         t = zeta_functional_target(k=30)
         probes = stability_probe(t, np.array([-2 + 0j]), [0.0])
         assert probes[0][1] == 0.0
+
+
+def _float_bits(x: float):
+    # raw IEEE bits, with every NaN as one class
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+def _record_bits(rec):
+    parts = [p for z in rec.root.tolist() for p in (z.real, z.imag)]
+    return (
+        _float_bits(rec.alpha),
+        tuple(map(_float_bits, parts)),
+        _float_bits(rec.step_norm),
+        _float_bits(rec.residual_norm),
+        rec.iterations,
+        rec.status,
+    )
+
+
+def _per_order(f, x0, grid, base):
+    return [
+        fpn_solve(f, x0, dataclasses.replace(base, alpha=alpha))[0] for alpha in grid.values()
+    ]
+
+
+# small grids over each registry target, with both early failures and runs
+# that reach the iteration cap
+_ENGINE_CASES = {
+    "ci": ("0.018", (-1.2, 1.2, 0.1)),
+    "si": ("1.85", (-0.9, 1.5, 0.1)),
+    "zeta-hasse": ("0.5+31.51i", (-1.2, 0.35, 0.05)),
+    "example3": ("0.86,0.86", (0.65, 1.3, 0.02)),
+    "poly": ("2", (-2.0, 2.0, 0.05)),
+}
+
+
+@pytest.fixture(params=[7, solver._BLOCK_ROWS], ids=["block7", "default-block"])
+def block_rows(request, monkeypatch):
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", request.param)
+    return request.param
+
+
+class TestLockstepEngine:
+    @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
+    def test_records_equal_per_order_solves(self, name, block_rows):
+        x0_text, grid_args = _ENGINE_CASES[name]
+        f = make_target(name, k=50, coeffs="1,0,1")
+        x0 = np.array([complex(p.replace("i", "j")) for p in x0_text.split(",")])
+        grid = AlphaGrid(*grid_args)
+        base = FpnConfig(alpha=0.5, max_iter=200)
+        report = run_sweep(f, x0, grid, base)
+        expected = _per_order(f, x0, grid, base)
+        assert list(map(_record_bits, report.records)) == list(map(_record_bits, expected))
+
+    def test_target_without_batch_evaluator(self, block_rows):
+        # the four-field form a wrapping target (such as a tracer) builds
+        inner = make_target("ci", k=50)
+        f = TargetFunction(inner.name, inner.dimension, inner.evaluate, inner.truncation_k)
+        assert f.evaluate_batch is None
+        x0 = np.array([0.018 + 0j])
+        grid = AlphaGrid(-1.2, 1.2, 0.1)
+        base = FpnConfig(alpha=0.5, max_iter=200)
+        records = run_sweep(f, x0, grid, base).records
+        assert list(map(_record_bits, records)) == list(
+            map(_record_bits, run_sweep(inner, x0, grid, base).records)
+        )
+        assert list(map(_record_bits, records)) == list(
+            map(_record_bits, _per_order(f, x0, grid, base))
+        )
+
+    def test_failing_row_fails_only_its_own_run(self, block_rows):
+        inner = polynomial([1, 0, 1])
+        x0 = np.array([2 + 0j])
+        grid = AlphaGrid(-2.0, 2.0, 0.05)
+        base = FpnConfig(alpha=0.5)
+        clean = run_sweep(inner, x0, grid, base).records
+        victim = next(i for i, r in enumerate(clean) if r.iterations >= 5)
+        alpha = grid.values()[victim]
+        _, trace = fpn_solve(inner, x0, dataclasses.replace(base, alpha=alpha))
+        bad = trace.iterates[3].tobytes()
+        batches = []
+
+        def evaluate(v):
+            if np.asarray(v).tobytes() == bad:
+                raise EvaluationError("the planted failure")
+            return inner.evaluate(v)
+
+        def evaluate_batch(x):
+            batches.append(len(x))
+            if any(row.tobytes() == bad for row in x):
+                raise EvaluationError("the planted failure")
+            return inner.evaluate_batch(x)
+
+        f = TargetFunction("planted", 1, evaluate, evaluate_batch=evaluate_batch)
+        records = run_sweep(f, x0, grid, base).records
+        changed = [
+            i for i, (a, b) in enumerate(zip(records, clean)) if _record_bits(a) != _record_bits(b)
+        ]
+        assert changed == [victim]
+        failed = records[victim]
+        assert failed.status is SolveStatus.NumericalFailure
+        assert failed.iterations == 3
+        assert failed.residual_norm == math.inf
+        assert list(map(_record_bits, records)) == list(
+            map(_record_bits, _per_order(f, x0, grid, base))
+        )
+        assert batches and max(batches) <= block_rows
+
+    def test_blocks_never_exceed_the_cap(self, block_rows):
+        inner = polynomial([1, 0, -1])
+        sizes = []
+
+        def evaluate_batch(x):
+            sizes.append(len(x))
+            return inner.evaluate_batch(x)
+
+        spy = dataclasses.replace(inner, evaluate_batch=evaluate_batch)
+        grid = AlphaGrid(-2.0, 2.0, 0.005)
+        assert len(grid.values()) > solver._BLOCK_ROWS
+        run_sweep(spy, np.array([3 + 0j]), grid, FpnConfig(alpha=0.5))
+        assert max(sizes) == block_rows
+        assert min(sizes) >= 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+            min_size=2,
+            max_size=4,
+        ),
+        st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-1.9, max_value=1.5),
+    )
+    def test_random_polynomials(self, coeffs, x0, lo):
+        if coeffs[0] == 0:
+            coeffs[0] = 1
+        f = polynomial(coeffs)
+        grid = AlphaGrid(lo, lo + 0.4, 0.02)
+        base = FpnConfig(alpha=0.5, max_iter=60)
+        records = run_sweep(f, np.array([x0]), grid, base).records
+        expected = _per_order(f, np.array([x0]), grid, base)
+        assert list(map(_record_bits, records)) == list(map(_record_bits, expected))
+
+    def test_failure_at_the_start_point(self):
+        f = make_target("ci", k=50)
+        report = run_sweep(f, np.array([0j]), AlphaGrid(0.3, 0.5, 0.1), FpnConfig(alpha=0.5))
+        assert [r.status for r in report.records] == [SolveStatus.NumericalFailure] * 3
+        assert all(r.iterations == 0 and r.residual_norm == math.inf for r in report.records)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fracroots.errors import DomainError, EvaluationError
 from fracroots.targets import (
     EULER_MASCHERONI,
+    REGISTRY_NAMES,
     _hasse_weights,
     _power_pairs,
     ci_series,
@@ -205,6 +206,84 @@ class TestSeriesTermLists:
         target = make_target(name, k=k)
         got = _outcome(lambda: target.evaluate(np.array([z], dtype=np.complex128)))
         assert got == _outcome(lambda: reference(k, z))
+
+
+# components with signed zeros, NaN, infinities and magnitudes at which the
+# series powers, the zeta exponentials or example3's sin and exp overflow
+_BATCH_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-1e5, max_value=1e5),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_BATCH_POINTS = st.builds(complex, _BATCH_PARTS, _BATCH_PARTS)
+
+
+@functools.cache
+def _registry_target(name):
+    return make_target(name, k=50, coeffs="1,-2,0.5+1i")
+
+
+def _check_batch(target, x):
+    # every row of evaluate_batch is evaluate's bit for bit, and the batch
+    # raises an error that evaluate raises on one of its rows if there is any
+    outcomes = [_outcome(lambda: target.evaluate(row)) for row in x]
+    raised = {kind for status, kind in outcomes if status == "raised"}
+    if raised:
+        with pytest.raises(tuple(raised)):
+            target.evaluate_batch(x)
+    else:
+        got = target.evaluate_batch(x)
+        assert got.shape == x.shape
+        assert got.dtype == np.complex128
+        assert [("value", row.tobytes()) for row in got] == outcomes
+
+
+class TestEvaluateBatch:
+    def test_every_registry_target_has_one(self):
+        for name in REGISTRY_NAMES:
+            assert _registry_target(name).evaluate_batch is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(REGISTRY_NAMES), st.data())
+    def test_rows_equal_evaluate_bitwise(self, name, data):
+        target = _registry_target(name)
+        row = st.lists(_BATCH_POINTS, min_size=target.dimension, max_size=target.dimension)
+        x = np.array(data.draw(st.lists(row, min_size=1, max_size=12)), dtype=np.complex128)
+        _check_batch(target, x)
+
+    @pytest.mark.parametrize("name", REGISTRY_NAMES)
+    def test_large_block_with_special_rows(self, name):
+        target = _registry_target(name)
+        rng = np.random.default_rng(20)
+        shape = (300, target.dimension)
+        x = rng.uniform(-4, 4, shape) + 1j * rng.uniform(-4, 4, shape)
+        x[::7] *= 1e3  # overflowing powers
+        x[3, 0] = complex(-0.0, 0.0)
+        x[5, 0] = complex(2.0, -0.0)
+        x[11, 0] = complex(math.nan, 1.0)
+        x[13, 0] = complex(math.inf, 0.0)
+        if name == "example3":
+            x[:, 1] = x[:, 1].real  # keep example3's sin and exp finite
+        _check_batch(target, x)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("ci", [0j]),  # the logarithmic singularity
+            ("zeta-hasse", [1 + 0j]),  # the prefactor pole
+            ("example3", [1e200 + 0j, 1e200 + 0j]),  # cmath's domain error
+        ],
+    )
+    def test_block_with_a_failing_row_raises(self, name, bad):
+        target = _registry_target(name)
+        good = [0.5 + 0.25j] * target.dimension
+        x = np.array([good, bad, good], dtype=np.complex128)
+        with pytest.raises(EvaluationError):
+            target.evaluate(x[1])
+        with pytest.raises(EvaluationError):
+            target.evaluate_batch(x)
+        _check_batch(target, x[[0, 2]])
 
 
 class TestHasseZeta:
