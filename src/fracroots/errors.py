@@ -23,3 +23,8 @@ class NumericalFailureError(RuntimeError):
 
 class InsufficientDataError(ValueError):
     """Not enough usable data for a diagnostic."""
+
+
+# what a target raises where it cannot be evaluated; a solve that meets one
+# ends NumericalFailure
+TARGET_FAILURES = (EvaluationError, OverflowError, ZeroDivisionError)

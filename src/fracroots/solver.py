@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    TARGET_FAILURES,
     DomainError,
-    EvaluationError,
     InsufficientDataError,
     NumericalFailureError,
 )
@@ -109,8 +109,6 @@ class RootRecord:
     status: SolveStatus
 
 
-# target failures that end a run as NumericalFailure
-_EVALUATION_ERRORS = (EvaluationError, OverflowError, ZeroDivisionError)
 # most runs a sweep keeps in flight, and so most rows per batched target
 # call: it bounds the engine's run states and the evaluators' block arrays
 _BLOCK_ROWS = 64
@@ -257,7 +255,7 @@ def _evaluate_one(f: "TargetFunction", zs: list[complex]) -> list[complex] | Non
     # f at one iterate, None where the target fails
     try:
         return _target_vector(f.evaluate(np.array(zs, dtype=np.complex128))).tolist()
-    except _EVALUATION_ERRORS:
+    except TARGET_FAILURES:
         return None
 
 
@@ -328,15 +326,20 @@ class _Run:
 
 def _evaluate_rows(f: "TargetFunction", rows: list[list[complex]]) -> list[list[complex] | None]:
     """f at every iterate in rows, None where the target fails, from one
-    evaluate_batch call.  If that call fails, or the target has no
+    evaluate_batch call.  If that call fails, the rows' values come from its
+    exception's batch_values; if it fails without them, or the target has no
     evaluate_batch, the rows are evaluated one by one, so a failure lands on
     its own row."""
     if rows and f.evaluate_batch is not None:
         x = np.array(rows, dtype=np.complex128)
         try:
             values = f.evaluate_batch(x)
-        except _EVALUATION_ERRORS:
-            pass
+        except TARGET_FAILURES as exc:
+            values = getattr(exc, "batch_values", None)
+            if values is not None:
+                if len(values) != len(rows):
+                    raise ValueError(f"batch_values has {len(values)} rows for {len(rows)}")
+                return values
         else:
             if values.shape != x.shape:
                 raise ValueError(f"evaluate_batch returned shape {values.shape} for {x.shape}")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import TARGET_FAILURES, DomainError, EvaluationError
 from .specfun import binomial, log_gamma_complex
 
 __all__ = [
@@ -49,7 +49,9 @@ class TargetFunction:
     evaluate must be deterministic and side-effect-free.  evaluate_batch, if
     given, maps a (B, n) complex128 array to a (B, n) one whose every row
     equals evaluate on that row bit for bit; where evaluate fails on any row,
-    it raises EvaluationError, OverflowError or ZeroDivisionError.
+    it raises EvaluationError, OverflowError or ZeroDivisionError.  That
+    exception may carry batch_values: for every row, evaluate(row).tolist(),
+    or None where evaluate fails, so that no row needs evaluating again.
     """
 
     name: str
@@ -65,20 +67,74 @@ def _complex_fsum(terms: list[complex]) -> complex:
     return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
-def _row_fsum(terms_re: np.ndarray, terms_im: np.ndarray) -> complex:
-    # _complex_fsum of one batch row of terms
-    return complex(math.fsum(terms_re.tolist()), math.fsum(terms_im.tolist()))
+# fsum of terms that are all -0.0: 0.0 on Python 3.11, which drops the sign
+_FSUM_OF_NEGATIVE_ZERO = math.fsum([-0.0])
+
+
+def _column_fsums(terms: np.ndarray) -> list[float]:
+    """math.fsum of every column of the (k, R) float64 array terms, bit for bit.
+
+    A pairwise TwoSum cascade (Ogita, Rump & Oishi, "Accurate sum and dot
+    product", 2005) splits each column without rounding error into a sum s
+    and k - 1 error terms.  TwoSum of s and the float sum e of those error
+    terms gives r and a residual rho, so the exact column sum is r + rho plus
+    the rounding error of e, which is at most (k - 1) u / (1 - (k - 1) u)
+    times the sum of |error| in any summation order (u = 2^-53); doubling
+    that covers the rounding of the bound itself.  Where |rho| plus the bound
+    is below half the gap from |r| down to the next float, the exact sum
+    rounds to r, the correctly rounded result fsum returns.  A column of
+    signed zeros sums to fsum's zero of the same signs.  The remaining columns
+    (a zero result of nonzero terms, a near-tie, a non-finite term, or terms
+    large enough that fsum could overflow in between) go through math.fsum,
+    which keeps its OverflowError, ValueError and special values.
+    """
+    k = terms.shape[0]
+    work = terms.copy()
+    errors = np.empty_like(terms[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, used = k, 0
+        while n > 1:
+            half = n // 2
+            a, b = work[:half], work[n - half : n]
+            s = a + b
+            b_virtual = s - a
+            err = errors[used : used + half]
+            np.subtract(a, s - b_virtual, out=err)
+            err += b - b_virtual
+            work[:half] = s
+            n -= half
+            used += half
+        s, e = work[0], errors.sum(axis=0)
+        r = s + e
+        e_virtual = r - s
+        rho = (s - (r - e_virtual)) + (e - e_virtual)
+        bound = np.abs(errors).sum(axis=0) * (2.0 * (k - 1) * 2.0**-53)
+        magnitude = np.abs(r)
+        half_gap = (magnitude - np.nextafter(magnitude, 0.0)) * 0.5
+        absolute = np.abs(terms).sum(axis=0)
+        # below 2^1020 no partial sum of fsum's, in any order, overflows
+        certified = (np.abs(rho) + bound < half_gap) & (absolute < 2.0**1020)
+    zero = absolute == 0.0
+    if zero.any():
+        # columns of signed zeros (the imaginary parts on the real axis)
+        r[zero] = np.where(np.signbit(terms[:, zero]).all(axis=0), _FSUM_OF_NEGATIVE_ZERO, 0.0)
+        certified |= zero
+    sums = r.tolist()
+    for j in np.flatnonzero(~certified).tolist():
+        sums[j] = math.fsum(terms[:, j].tolist())
+    return sums
 
 
 def _series_terms(
     coeffs: np.ndarray, re: np.ndarray, im: np.ndarray, z2re: np.ndarray, z2im: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The terms c_j * power_j of a batch, power_0 = re + i im and power_j =
-    power_{j-1} * z2, as (B, len(coeffs)) arrays of real and imaginary parts.
+) -> np.ndarray:
+    """The terms c_j * power_j of a batch of B points, power_0 = re + i im and
+    power_j = power_{j-1} * z2, as a (len(coeffs), 2B) array: column b holds
+    the real parts of point b's terms and column B + b their imaginary parts.
 
     Split real arithmetic rounds every multiply and add on its own, as
-    Python's complex product does, so each row is bitwise the Python terms
-    complex(c_j, 0.0) * power_j, infinities and NaNs included.
+    Python's complex product does, so each point's terms are bitwise the
+    Python terms complex(c_j, 0.0) * power_j, infinities and NaNs included.
     """
     power_re = np.empty((len(coeffs), len(re)))
     power_im = np.empty_like(power_re)
@@ -88,9 +144,17 @@ def _series_terms(
         np.subtract(pr * z2re, pi * z2im, out=power_re[j])
         np.add(pr * z2im, pi * z2re, out=power_im[j])
     c = coeffs[:, None]
-    terms_re = c * power_re - 0.0 * power_im
-    terms_im = c * power_im + 0.0 * power_re
-    return terms_re.T, terms_im.T
+    terms = np.empty((len(coeffs), 2 * len(re)))
+    np.subtract(c * power_re, 0.0 * power_im, out=terms[:, : len(re)])
+    np.add(c * power_im, 0.0 * power_re, out=terms[:, len(re) :])
+    return terms
+
+
+def _complex_column_fsums(terms: np.ndarray) -> list[complex]:
+    # _complex_fsum of every point of a _series_terms table
+    sums = _column_fsums(terms)
+    half = len(sums) // 2
+    return [complex(re, im) for re, im in zip(sums[:half], sums[half:])]
 
 
 def _square(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +203,10 @@ def ci_series(k: int) -> TargetFunction:
             # the first power *= z2, from power = 1+0j
             first_re = 1.0 * z2re - 0.0 * z2im
             first_im = 1.0 * z2im + 0.0 * z2re
-            terms_re, terms_im = _series_terms(reals, first_re, first_im, z2re, z2im)
+            terms = _series_terms(reals, first_re, first_im, z2re, z2im)
         values = [
-            -EULER_MASCHERONI - cmath.log(z) - _row_fsum(tr, ti)
-            for z, tr, ti in zip(x[:, 0].tolist(), terms_re, terms_im)
+            -EULER_MASCHERONI - cmath.log(z) - acc
+            for z, acc in zip(x[:, 0].tolist(), _complex_column_fsums(terms))
         ]
         return np.array(values, dtype=np.complex128).reshape(-1, 1)
 
@@ -175,8 +239,8 @@ def si_series(k: int) -> TargetFunction:
     def _eval_batch(x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             re, im = x[:, 0].real, x[:, 0].imag
-            terms_re, terms_im = _series_terms(reals, re, im, *_square(re, im))
-        values = [0.5 * math.pi - _row_fsum(tr, ti) for tr, ti in zip(terms_re, terms_im)]
+            terms = _series_terms(reals, re, im, *_square(re, im))
+        values = [0.5 * math.pi - acc for acc in _complex_column_fsums(terms)]
         return np.array(values, dtype=np.complex128).reshape(-1, 1)
 
     return TargetFunction("si", 1, _eval, truncation_k=k, evaluate_batch=_eval_batch)
@@ -338,9 +402,22 @@ def zeta_functional_target(inner: TargetFunction | None = None, k: int = 50) -> 
 
 
 def _rows(kernel: Callable[..., list[complex]]) -> Callable[[np.ndarray], np.ndarray]:
-    # evaluate_batch of a target whose evaluate is kernel(*components)
+    # evaluate_batch of a target whose evaluate is kernel(*components); a
+    # failing row does not stop the block, and the first failure is raised
+    # with every row's value as its batch_values
     def evaluate_batch(x: np.ndarray) -> np.ndarray:
-        return np.array([kernel(*row) for row in x.tolist()], dtype=np.complex128)
+        values: list[list[complex] | None] = []
+        failure = None
+        for row in x.tolist():
+            try:
+                values.append(kernel(*row))
+            except TARGET_FAILURES as exc:
+                failure = failure or exc
+                values.append(None)
+        if failure is not None:
+            failure.batch_values = values
+            raise failure
+        return np.array(values, dtype=np.complex128)
 
     return evaluate_batch
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracroots import solver
-from fracroots.errors import DomainError, EvaluationError
+from fracroots import solver, targets
+from fracroots.errors import TARGET_FAILURES, DomainError, EvaluationError
 from fracroots.solver import FpnConfig, SolveStatus, fpn_solve
 from fracroots.sweep import AlphaGrid, run_sweep, stability_probe
 from fracroots.targets import TargetFunction, make_target, polynomial, zeta_functional_target
@@ -286,6 +286,40 @@ class TestLockstepEngine:
             map(_record_bits, _per_order(f, x0, grid, base))
         )
         assert batches and max(batches) <= block_rows
+
+    def test_every_example3_row_reaches_the_kernel_once(self, block_rows):
+        # a block with a failing row reports every row's value, so the
+        # engine never evaluates a row again
+        inner = make_target("example3")
+        kernel_calls = []
+        batch_rows = []
+        failed_blocks = []
+
+        def kernel(x1, x2):
+            kernel_calls.append((x1, x2))
+            return inner.evaluate(np.array([x1, x2])).tolist()
+
+        row_kernel = targets._rows(kernel)
+
+        def evaluate_batch(x):
+            batch_rows.append(len(x))
+            try:
+                return row_kernel(x)
+            except TARGET_FAILURES:
+                failed_blocks.append(len(x))
+                raise
+
+        f = TargetFunction(
+            "example3", 2, lambda v: np.array(kernel(*v.tolist())), evaluate_batch=evaluate_batch
+        )
+        x0 = np.array([0.86 + 0j, 0.86 + 0j])
+        grid = AlphaGrid(0.65, 1.3, 0.01)
+        records = run_sweep(f, x0, grid, FpnConfig(alpha=0.5)).records
+        assert failed_blocks
+        assert len(kernel_calls) == 1 + sum(batch_rows)
+        assert list(map(_record_bits, records)) == list(
+            map(_record_bits, run_sweep(inner, x0, grid, FpnConfig(alpha=0.5)).records)
+        )
 
     def test_blocks_never_exceed_the_cap(self, block_rows):
         inner = polynomial([1, 0, -1])

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import struct
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,8 +14,10 @@ from fracroots.errors import DomainError, EvaluationError
 from fracroots.targets import (
     EULER_MASCHERONI,
     REGISTRY_NAMES,
+    _column_fsums,
     _hasse_weights,
     _power_pairs,
+    _series_terms,
     ci_series,
     example3_system,
     hasse_zeta,
@@ -226,12 +229,20 @@ def _registry_target(name):
 
 def _check_batch(target, x):
     # every row of evaluate_batch is evaluate's bit for bit, and the batch
-    # raises an error that evaluate raises on one of its rows if there is any
+    # raises an error that evaluate raises on one of its rows if there is any;
+    # batch_values on that error hold evaluate's values, None where it raises
     outcomes = [_outcome(lambda: target.evaluate(row)) for row in x]
     raised = {kind for status, kind in outcomes if status == "raised"}
     if raised:
-        with pytest.raises(tuple(raised)):
+        with pytest.raises(tuple(raised)) as info:
             target.evaluate_batch(x)
+        values = getattr(info.value, "batch_values", None)
+        if values is not None:
+            expected = [
+                None if status == "raised" else target.evaluate(row).tolist()
+                for row, (status, _) in zip(x, outcomes)
+            ]
+            assert [_bits(v) for v in values] == [_bits(v) for v in expected]
     else:
         got = target.evaluate_batch(x)
         assert got.shape == x.shape
@@ -283,7 +294,143 @@ class TestEvaluateBatch:
             target.evaluate(x[1])
         with pytest.raises(EvaluationError):
             target.evaluate_batch(x)
+        _check_batch(target, x)
         _check_batch(target, x[[0, 2]])
+
+    def test_failing_example3_block_reports_every_row(self):
+        # the row kernel finishes a block that fails and attaches every value
+        target = _registry_target("example3")
+        x = np.array([[0.5, 0.25], [1e200, 1e200], [0.75, 0.5], [1e200, 1e200]], complex)
+        with pytest.raises(EvaluationError) as info:
+            target.evaluate_batch(x)
+        values = info.value.batch_values
+        assert [v is None for v in values] == [False, True, False, True]
+        assert values[2] == target.evaluate(x[2]).tolist()
+
+
+def _bits(values):
+    # a row of values as their types and raw IEEE bits, NaN payloads included
+    if values is None:
+        return None
+    return [(type(v), struct.pack("<dd", v.real, v.imag)) for v in values]
+
+
+def _fsum_outcome(column):
+    # math.fsum's bits, or the exception type it raises
+    try:
+        return ("value", struct.pack("<d", math.fsum(column)))
+    except (OverflowError, ValueError) as exc:
+        return ("raised", type(exc))
+
+
+def _check_column_fsums(columns):
+    # _column_fsums of each column alone, and of the equal-length ones as one
+    # table, is math.fsum's bit for bit, exceptions included
+    for column in columns:
+        table = np.array(column, dtype=np.float64).reshape(-1, 1)
+        try:
+            got = ("value", struct.pack("<d", _column_fsums(table)[0]))
+        except (OverflowError, ValueError) as exc:
+            got = ("raised", type(exc))
+        assert got == _fsum_outcome(column), column
+    outcomes = [_fsum_outcome(column) for column in columns]
+    if len({len(column) for column in columns}) == 1 and all(o[0] == "value" for o in outcomes):
+        table = np.array(columns, dtype=np.float64).T
+        got = [("value", struct.pack("<d", v)) for v in _column_fsums(table)]
+        assert got == outcomes
+
+
+def _alternating_cancellation(rng, k):
+    # terms of about 1e11 with alternating signs whose sum is about 1e-5
+    terms = (rng.uniform(1.0, 2.0, k) * 1e11 * (-1.0) ** np.arange(k)).tolist()
+    terms[-1] = -math.fsum(terms[:-1]) + rng.uniform(-2e-5, 2e-5)
+    return terms
+
+
+# floats across the whole exponent range, and sums that cancel among them
+_WIDE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(
+        math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-1074, 1023)
+    ),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-60, 60)),
+)
+
+
+class TestColumnFsums:
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [1.0, 2.0**-53],  # a tie that rounds to even
+            [1.0, 2.0**-53, 2.0**-106],  # just above the tie
+            [1.0, -(2.0**-54), -(2.0**-107)],  # just below 1.0, where the gap halves
+            [1.0 + 2.0**-52, 2.0**-53],  # a tie that rounds up to even
+            [0.1] * 10,
+            [1e16, 1.0, -1e16],
+            [5e-324, 5e-324, -5e-324],  # subnormals
+            [2.0**-1022, -(2.0**-1074)],
+            [1.0, -1.0],  # nonzero terms that cancel exactly
+            # error terms whose float sum is not exact, with a small result
+            [2.0**-8, -(2.0**-8), 2.0**53, 3 * 2.0**-62, -(2.0**53)],
+            [2.0**53, -(2.0**53), -3 * 2.0**-62, 2.0**-8, -3 * 2.0**-62],
+            [6.505213034913027e-19, -4503599627370497.0, -(2.0**-8), 4503599627370497.0, 2.0**-8],
+        ],
+    )
+    def test_near_ties_and_cancellation(self, column):
+        _check_column_fsums([column])
+
+    def test_alternating_terms_cancelling_to_small_sums(self):
+        rng = np.random.default_rng(21)
+        _check_column_fsums([_alternating_cancellation(rng, 50) for _ in range(300)])
+
+    @pytest.mark.parametrize(
+        "column",
+        [[-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, -0.0], [0.0], [-0.0] * 50],
+    )
+    def test_signed_zeros_follow_this_python(self, column):
+        # fsum([-0.0]) is 0.0 on Python 3.11; the helper gives whatever the
+        # running Python's fsum gives
+        _check_column_fsums([column, [0.0] * len(column), [-0.0] * len(column)])
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [math.inf, 1.0],
+            [-math.inf, -math.inf],
+            [math.inf, -math.inf],  # ValueError
+            [math.nan, 1.0],
+            [math.inf, math.nan],
+            [1e308, 1e308, -1e308],  # OverflowError
+            [1.7e308, 1.7e308],  # OverflowError
+            [1e308, 7e307, 1e308, -1e308],  # fsum's running sum overflows
+            [1.7976931348623157e308, 9.9792015476736e291],  # rounds to inf
+        ],
+    )
+    def test_special_values_and_overflow(self, column):
+        _check_column_fsums([column])
+
+    def test_series_terms_at_the_outer_roots(self):
+        # the Ci and Si tables where the alternating terms peak near |x| = 30
+        mags = [1.0 / ((2 * m + 1) * math.factorial(2 * m + 1)) for m in range(51)]
+        coeffs = np.array([-mag if m % 2 else mag for m, mag in enumerate(mags)])
+        x = np.linspace(10.0, 32.0, 400) + 1j * np.linspace(-0.5, 0.5, 400)
+        z2re, z2im = (x * x).real, (x * x).imag
+        terms = _series_terms(coeffs, x.real, x.imag, z2re, z2im)
+        _check_column_fsums(terms.T.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda k: st.lists(st.lists(_WIDE_FLOATS, min_size=k, max_size=k), min_size=1, max_size=3)
+        ),
+        st.data(),
+    )
+    def test_matches_fsum_over_wide_exponent_range(self, columns, data):
+        # and columns built to cancel: each term then its negation, perturbed
+        flip = data.draw(st.booleans())
+        if flip:
+            columns = [c + [-t * (1.0 + 2.0**-52) for t in reversed(c)] for c in columns]
+        _check_column_fsums(columns)
 
 
 class TestHasseZeta:
