@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import struct
 
@@ -208,6 +209,8 @@ def _per_order(f, x0, grid, base):
 # that reach the iteration cap
 _ENGINE_CASES = {
     "ci": ("0.018", (-1.2, 1.2, 0.1)),
+    # more orders than the block window, so the engine runs full Ci blocks
+    "ci-full": ("0.018", (-1.2, 1.2, 0.01)),
     "si": ("1.85", (-0.9, 1.5, 0.1)),
     "zeta-hasse": ("0.5+31.51i", (-1.2, 0.35, 0.05)),
     "example3": ("0.86,0.86", (0.65, 1.3, 0.02)),
@@ -215,7 +218,23 @@ _ENGINE_CASES = {
 }
 
 
-@pytest.fixture(params=[7, solver._BLOCK_ROWS], ids=["block7", "default-block"])
+@functools.cache
+def _engine_case(name):
+    # the target, start, grid and config of an _ENGINE_CASES entry, with the
+    # per-order fpn_solve records, which do not depend on the block size
+    x0_text, grid_args = _ENGINE_CASES[name]
+    f = make_target(name.removesuffix("-full"), k=50, coeffs="1,0,1")
+    x0 = np.array([complex(p.replace("i", "j")) for p in x0_text.split(",")])
+    grid = AlphaGrid(*grid_args)
+    base = FpnConfig(alpha=0.5, max_iter=200)
+    return f, x0, grid, base, list(map(_record_bits, _per_order(f, x0, grid, base)))
+
+
+# batch-of-one (every row through evaluate), a small block, the former
+# 64-row window and the engine's own
+@pytest.fixture(
+    params=[1, 7, 64, solver._BLOCK_ROWS], ids=["block1", "block7", "block64", "default-block"]
+)
 def block_rows(request, monkeypatch):
     monkeypatch.setattr(solver, "_BLOCK_ROWS", request.param)
     return request.param
@@ -224,14 +243,12 @@ def block_rows(request, monkeypatch):
 class TestLockstepEngine:
     @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
     def test_records_equal_per_order_solves(self, name, block_rows):
-        x0_text, grid_args = _ENGINE_CASES[name]
-        f = make_target(name, k=50, coeffs="1,0,1")
-        x0 = np.array([complex(p.replace("i", "j")) for p in x0_text.split(",")])
-        grid = AlphaGrid(*grid_args)
-        base = FpnConfig(alpha=0.5, max_iter=200)
+        f, x0, grid, base, expected = _engine_case(name)
         report = run_sweep(f, x0, grid, base)
-        expected = _per_order(f, x0, grid, base)
-        assert list(map(_record_bits, report.records)) == list(map(_record_bits, expected))
+        assert list(map(_record_bits, report.records)) == expected
+
+    def test_full_ci_case_fills_the_window(self):
+        assert len(AlphaGrid(*_ENGINE_CASES["ci-full"][1]).values()) > solver._BLOCK_ROWS
 
     def test_target_without_batch_evaluator(self, block_rows):
         # the four-field form a wrapping target (such as a tracer) builds
@@ -285,15 +302,25 @@ class TestLockstepEngine:
         assert list(map(_record_bits, records)) == list(
             map(_record_bits, _per_order(f, x0, grid, base))
         )
-        assert batches and max(batches) <= block_rows
+        if block_rows == 1:
+            assert not batches
+        else:
+            assert batches and max(batches) <= block_rows
 
-    def test_every_example3_row_reaches_the_kernel_once(self, block_rows):
+    def test_every_example3_row_reaches_the_kernel_once(self, block_rows, monkeypatch):
         # a block with a failing row reports every row's value, so the
         # engine never evaluates a row again
         inner = make_target("example3")
         kernel_calls = []
-        batch_rows = []
+        engine_rows = []
         failed_blocks = []
+        evaluate_rows = solver._evaluate_rows
+
+        def spy(f, rows):
+            engine_rows.append(len(rows))
+            return evaluate_rows(f, rows)
+
+        monkeypatch.setattr(solver, "_evaluate_rows", spy)
 
         def kernel(x1, x2):
             kernel_calls.append((x1, x2))
@@ -302,7 +329,6 @@ class TestLockstepEngine:
         row_kernel = targets._rows(kernel)
 
         def evaluate_batch(x):
-            batch_rows.append(len(x))
             try:
                 return row_kernel(x)
             except TARGET_FAILURES:
@@ -315,8 +341,10 @@ class TestLockstepEngine:
         x0 = np.array([0.86 + 0j, 0.86 + 0j])
         grid = AlphaGrid(0.65, 1.3, 0.01)
         records = run_sweep(f, x0, grid, FpnConfig(alpha=0.5)).records
-        assert failed_blocks
-        assert len(kernel_calls) == 1 + sum(batch_rows)
+        # f(x0) once, then each row the engine evaluates exactly once,
+        # whether it went through evaluate_batch or (alone) through evaluate
+        assert bool(failed_blocks) == (block_rows > 1)
+        assert len(kernel_calls) == 1 + sum(engine_rows)
         assert list(map(_record_bits, records)) == list(
             map(_record_bits, run_sweep(inner, x0, grid, FpnConfig(alpha=0.5)).records)
         )
@@ -333,8 +361,47 @@ class TestLockstepEngine:
         grid = AlphaGrid(-2.0, 2.0, 0.005)
         assert len(grid.values()) > solver._BLOCK_ROWS
         run_sweep(spy, np.array([3 + 0j]), grid, FpnConfig(alpha=0.5))
-        assert max(sizes) == block_rows
-        assert min(sizes) >= 1
+        if block_rows == 1:
+            assert sizes == []
+        else:
+            assert max(sizes) == block_rows
+            assert min(sizes) >= 2
+
+    def test_one_row_block_goes_through_evaluate(self, monkeypatch):
+        # on this grid one ci run outlives the others by ten steps; its rows
+        # must reach evaluate, never evaluate_batch
+        inner = make_target("ci", k=50)
+        batch_sizes = []
+        single_rows = []
+        engine_single = []
+        evaluate_rows = solver._evaluate_rows
+
+        def evaluate(v):
+            single_rows.append(v.tobytes())
+            return inner.evaluate(v)
+
+        def evaluate_batch(x):
+            batch_sizes.append(len(x))
+            return inner.evaluate_batch(x)
+
+        def spy(f, rows):
+            if len(rows) == 1:
+                engine_single.append(np.array(rows[0], dtype=np.complex128).tobytes())
+            return evaluate_rows(f, rows)
+
+        monkeypatch.setattr(solver, "_evaluate_rows", spy)
+        f = dataclasses.replace(inner, evaluate=evaluate, evaluate_batch=evaluate_batch)
+        x0 = np.array([0.018 + 0j])
+        grid = AlphaGrid(0.0, 0.1, 0.01)
+        base = FpnConfig(alpha=0.5)
+        records = run_sweep(f, x0, grid, base).records
+        assert len(engine_single) == 10
+        assert min(batch_sizes) >= 2
+        # f(x0) once, then exactly the engine's single rows
+        assert single_rows[1:] == engine_single
+        assert list(map(_record_bits, records)) == list(
+            map(_record_bits, run_sweep(inner, x0, grid, base).records)
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(

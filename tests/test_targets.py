@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracroots import solver
 from fracroots.errors import DomainError, EvaluationError
 from fracroots.targets import (
     EULER_MASCHERONI,
@@ -277,6 +279,28 @@ class TestEvaluateBatch:
         if name == "example3":
             x[:, 1] = x[:, 1].real  # keep example3's sin and exp finite
         _check_batch(target, x)
+
+    @pytest.mark.parametrize("name", ["ci", "si"])
+    def test_full_block_scratch_stays_in_budget(self, name):
+        # numpy reports its allocations to tracemalloc.  A full engine block
+        # of Ci or Si peaks at about 3.6 KiB a row (459 KiB at 128 rows), all
+        # of it per-row scratch; the budget is 4 KiB a row.
+        target = _registry_target(name)
+        rows = solver._BLOCK_ROWS
+        x = (np.linspace(0.5, 30.0, rows) + 1j * np.linspace(-3.0, 3.0, rows)).reshape(rows, 1)
+        target.evaluate_batch(x)  # leave any one-time setup out of the peak
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            target.evaluate_batch(x)
+            high_water = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert high_water < rows * 4096
 
     @pytest.mark.parametrize(
         "name, bad",
