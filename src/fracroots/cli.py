@@ -310,7 +310,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         choices = ", ".join(_TRACE_TEXT)
         raise DomainError(f"trace must be one of {choices} in any case, got {args.trace!r}")
     trace = IterationTrace() if _TRACE_TEXT[text] else None
-    record = _solve(target, x0, _build_config(args, args.alpha), trace)
+    config = _build_config(args, args.alpha)
+    record = _solve(target, x0, config, [config.alpha], trace)[0]
 
     def table(out: TextIO) -> None:
         _print_record(record, out)

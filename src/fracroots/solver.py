@@ -223,7 +223,7 @@ def fpn_solve(
     target evaluation failures report NumericalFailure.
     """
     trace = IterationTrace()
-    return _solve(f, x0, config, trace), trace
+    return _solve(f, x0, config, [config.alpha], trace)[0], trace
 
 
 def _start(f: "TargetFunction", x0) -> np.ndarray:
@@ -262,53 +262,8 @@ def _evaluate_one(f: "TargetFunction", zs: list[complex]) -> list[complex] | Non
         return None
 
 
-def _solve(
-    f: "TargetFunction", x0, config: FpnConfig, trace: IterationTrace | None = None
-) -> RootRecord:
-    # fpn_solve, recording the iterates and norms in trace when one is given
-    x = _start(f, x0)
-    zs = x.tolist()
-    if trace is not None:
-        trace.iterates.append(x.copy())
-    alpha = config.alpha
-    epsilon = config.epsilon
-    rg = recip_gamma(1.0 - alpha)
-    threshold = 10.0 ** (-config.round_exponent_m)
-    step = math.inf
-    res = math.inf
-
-    def finish(status: SolveStatus, iterations: int) -> RootRecord:
-        root = np.array(zs, dtype=np.complex128)
-        return RootRecord(alpha, root, step, res, iterations, status)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        fs = _evaluate_one(f, zs)
-        if fs is None:
-            return finish(SolveStatus.NumericalFailure, 0)
-
-        for i in itertools.count(1):
-            try:
-                ys = _advance(zs, _p_entries(zs, alpha, rg, epsilon), fs, threshold)
-            except NumericalFailureError:
-                return finish(SolveStatus.NumericalFailure, i)
-            step = _norm([a - b for a, b in zip(ys, zs)])
-            zs = ys
-            fs = _evaluate_one(f, zs)
-            if fs is None:
-                res = math.inf
-                return finish(SolveStatus.NumericalFailure, i)
-            res = _norm(fs)
-            if trace is not None:
-                trace.iterates.append(np.array(zs, dtype=np.complex128))
-                trace.step_norms.append(step)
-                trace.residual_norms.append(res)
-            status = _verdict(step, res, zs, config, i)
-            if status is not None:
-                return finish(status, i)
-
-
 class _Run:
-    """One order's state in a lockstep solve: the locals of its _solve."""
+    """One order's state in the engine: its iterate, f there, last norms and iteration count."""
 
     __slots__ = ("index", "alpha", "rg", "zs", "fs", "step", "res", "iterations")
 
@@ -335,7 +290,9 @@ def _evaluate_rows(f: "TargetFunction", rows: list[list[complex]]) -> list[list[
     its own row.  A single row goes through evaluate: the TargetFunction
     contract makes that bitwise the same, and it skips a batch evaluator's
     fixed per-call cost (a 1-row Ci batch call costs over ten evaluate calls)."""
-    if len(rows) > 1 and f.evaluate_batch is not None:
+    if len(rows) == 1:
+        return [_evaluate_one(f, rows[0])]
+    if f.evaluate_batch is not None:
         x = np.array(rows, dtype=np.complex128)
         try:
             values = f.evaluate_batch(x)
@@ -352,17 +309,26 @@ def _evaluate_rows(f: "TargetFunction", rows: list[list[complex]]) -> list[list[
     return [_evaluate_one(f, zs) for zs in rows]
 
 
-def _solve_lockstep(
-    f: "TargetFunction", x0, config: FpnConfig, alphas: list[float]
+def _solve(
+    f: "TargetFunction", x0, config: FpnConfig, alphas: list[float],
+    trace: IterationTrace | None = None,
 ) -> list[RootRecord]:
-    """_solve at config with each order in alphas, from the same x0; every
-    record is bitwise the one _solve gives.
+    """The one iteration loop: a record per order in alphas, each solved at
+    config with that order from the same x0.  fpn_solve and `fracroots solve`
+    pass one order, run_sweep a grid's.
 
     Up to _BLOCK_ROWS runs advance in lockstep: each step does every live
     run's Python update, evaluates the target at all the new iterates in one
     _evaluate_rows call, and replaces the runs that ended by the next orders.
+    No record depends on the runs beside it, so each is the one-order call's,
+    whose blocks are single rows through evaluate.  A trace, given with one
+    order, gets x0 and then the iterate and norms of each evaluation that
+    returned values.
     """
-    zs0 = _start(f, x0).tolist()
+    x = _start(f, x0)
+    zs0 = x.tolist()
+    if trace is not None:
+        trace.iterates.append(x.copy())
     epsilon = config.epsilon
     threshold = 10.0 ** (-config.round_exponent_m)
     records: list = [None] * len(alphas)
@@ -372,28 +338,40 @@ def _solve_lockstep(
             failed = SolveStatus.NumericalFailure
             return [_Run(j, a, zs0, fs0).record(failed) for j, a in enumerate(alphas)]
         orders = enumerate(alphas)
+        pending = len(alphas)
         runs: list[_Run] = []
         while True:
-            for j, alpha in itertools.islice(orders, _BLOCK_ROWS - len(runs)):
-                runs.append(_Run(j, alpha, zs0, fs0))
+            if pending:
+                for j, alpha in itertools.islice(orders, _BLOCK_ROWS - len(runs)):
+                    runs.append(_Run(j, alpha, zs0, fs0))
+                    pending -= 1
             if not runs:
                 return records
             moved = []
+            rows = []
             for run in runs:
                 run.iterations += 1
+                zs = run.zs
                 try:
-                    ps = _p_entries(run.zs, run.alpha, run.rg, epsilon)
-                    ys = _advance(run.zs, ps, run.fs, threshold)
+                    ys = _advance(zs, _p_entries(zs, run.alpha, run.rg, epsilon), run.fs, threshold)
                 except NumericalFailureError:
                     records[run.index] = run.record(SolveStatus.NumericalFailure)
                     continue
-                run.step = _norm([a - b for a, b in zip(ys, run.zs)])
+                run.step = _norm([a - b for a, b in zip(ys, zs)])
                 run.zs = ys
                 moved.append(run)
+                rows.append(ys)
             runs = []
-            for run, fs in zip(moved, _evaluate_rows(f, [run.zs for run in moved])):
+            for run, fs in zip(moved, _evaluate_rows(f, rows)):
                 run.fs = fs
-                run.res = math.inf if fs is None else _norm(fs)
+                if fs is None:
+                    run.res = math.inf
+                else:
+                    run.res = _norm(fs)
+                    if trace is not None:
+                        trace.iterates.append(np.array(run.zs, dtype=np.complex128))
+                        trace.step_norms.append(run.step)
+                        trace.residual_norms.append(run.res)
                 status = _verdict(run.step, run.res, run.zs, config, run.iterations)
                 if status is None:
                     runs.append(run)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .solver import FpnConfig, RootRecord, SolveStatus, _norm, _solve_lockstep, as_complex_vector
+from .solver import FpnConfig, RootRecord, SolveStatus, _norm, _solve, as_complex_vector
 from .targets import TargetFunction
 
 __all__ = ["AlphaGrid", "UniqueRoot", "SweepReport", "run_sweep", "stability_probe"]
@@ -124,7 +124,7 @@ def run_sweep(
     for alpha in alphas:
         # each order is checked as a solve at that order alone checks it
         dataclasses.replace(base_config, alpha=alpha)
-    records = _solve_lockstep(f, x0, base_config, alphas)
+    records = _solve(f, x0, base_config, alphas)
     return SweepReport(records=records, unique_roots=_cluster_converged(records, cluster_tol))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import math
 import struct
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracroots import solver, targets
+from fracroots import cli, solver, targets
 from fracroots.errors import TARGET_FAILURES, DomainError, EvaluationError
 from fracroots.solver import FpnConfig, SolveStatus, fpn_solve
 from fracroots.sweep import AlphaGrid, run_sweep, stability_probe
@@ -221,7 +222,9 @@ _ENGINE_CASES = {
 @functools.cache
 def _engine_case(name):
     # the target, start, grid and config of an _ENGINE_CASES entry, with the
-    # per-order fpn_solve records, which do not depend on the block size
+    # per-order fpn_solve records: one-order engine calls, whose blocks are
+    # single rows through evaluate, so these are the batch-of-one records
+    # that every block size must give
     x0_text, grid_args = _ENGINE_CASES[name]
     f = make_target(name.removesuffix("-full"), k=50, coeffs="1,0,1")
     x0 = np.array([complex(p.replace("i", "j")) for p in x0_text.split(",")])
@@ -367,9 +370,11 @@ class TestLockstepEngine:
             assert max(sizes) == block_rows
             assert min(sizes) >= 2
 
-    def test_one_row_block_goes_through_evaluate(self, monkeypatch):
-        # on this grid one ci run outlives the others by ten steps; its rows
-        # must reach evaluate, never evaluate_batch
+    @pytest.mark.parametrize("call", ["sweep", "fpn_solve", "cli-solve"])
+    def test_one_row_block_goes_through_evaluate(self, call, monkeypatch, capsys):
+        # on the sweep's grid one ci run outlives the others by ten steps, and
+        # a one-order solve is 1-row blocks only; those rows must reach
+        # evaluate, never evaluate_batch
         inner = make_target("ci", k=50)
         batch_sizes = []
         single_rows = []
@@ -392,16 +397,33 @@ class TestLockstepEngine:
         monkeypatch.setattr(solver, "_evaluate_rows", spy)
         f = dataclasses.replace(inner, evaluate=evaluate, evaluate_batch=evaluate_batch)
         x0 = np.array([0.018 + 0j])
-        grid = AlphaGrid(0.0, 0.1, 0.01)
-        base = FpnConfig(alpha=0.5)
-        records = run_sweep(f, x0, grid, base).records
-        assert len(engine_single) == 10
-        assert min(batch_sizes) >= 2
+        if call == "sweep":
+            grid = AlphaGrid(0.0, 0.1, 0.01)
+            base = FpnConfig(alpha=0.5)
+            expected = run_sweep(inner, x0, grid, base).records
+            engine_single.clear()
+            records = run_sweep(f, x0, grid, base).records
+            assert list(map(_record_bits, records)) == list(map(_record_bits, expected))
+            assert len(engine_single) == 10
+            assert min(batch_sizes) >= 2
+        else:
+            # a 198-step solve, each step one row
+            expected, _ = fpn_solve(inner, x0, FpnConfig(alpha=0.55))
+            engine_single.clear()
+            if call == "fpn_solve":
+                record, _ = fpn_solve(f, x0, FpnConfig(alpha=0.55))
+                assert _record_bits(record) == _record_bits(expected)
+            else:
+                monkeypatch.setattr(cli, "make_target", lambda *args, **kwargs: f)
+                argv = ["solve", "--target", "ci", "--x0", "0.018", "--alpha", "0.55"]
+                assert cli.main(argv) == cli.EXIT_OK
+                line = io.StringIO()
+                cli._print_record(expected, line)
+                assert capsys.readouterr().out == line.getvalue()
+            assert batch_sizes == []
+            assert len(engine_single) == expected.iterations
         # f(x0) once, then exactly the engine's single rows
         assert single_rows[1:] == engine_single
-        assert list(map(_record_bits, records)) == list(
-            map(_record_bits, run_sweep(inner, x0, grid, base).records)
-        )
 
     @settings(max_examples=25, deadline=None)
     @given(
