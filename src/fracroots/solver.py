@@ -289,9 +289,12 @@ def _evaluate_rows(f: "TargetFunction", rows: list[list[complex]]) -> list[list[
     evaluate_batch, the rows are evaluated one by one, so a failure lands on
     its own row.  A single row goes through evaluate: the TargetFunction
     contract makes that bitwise the same, and it skips a batch evaluator's
-    fixed per-call cost (a 1-row Ci batch call costs over ten evaluate calls)."""
+    fixed per-call cost (a 1-row Ci batch call costs over ten evaluate calls).
+    No rows, as when every run of a step failed, make no call."""
     if len(rows) == 1:
         return [_evaluate_one(f, rows[0])]
+    if not rows:
+        return []
     if f.evaluate_batch is not None:
         x = np.array(rows, dtype=np.complex128)
         try:
@@ -325,6 +328,7 @@ def _solve(
     order, gets x0 and then the iterate and norms of each evaluation that
     returned values.
     """
+    assert trace is None or len(alphas) == 1, "a trace follows one order"
     x = _start(f, x0)
     zs0 = x.tolist()
     if trace is not None:

@@ -494,6 +494,10 @@ class TestMatchesReferenceLoop:
             # f(x0) fails, so every record is a 0-iteration failure and every
             # trace holds x0 alone
             (ci_series(10), vec(0), AlphaGrid(-0.5, 0.5, 0.1), {"NumericalFailure"}),
+            # f(x0) is NaN without raising, so every run fails in its first
+            # update and the engine's first step has no rows to evaluate
+            (make_target("ci", k=50), vec(1e6), AlphaGrid(-0.5, 0.5, 0.1),
+             {"NumericalFailure"}),
             (make_target("si", k=50), vec(1.85), AlphaGrid(-0.9, 1.5, 0.05),
              {"Converged", "MaxIterations", "NumericalFailure"}),
             (make_target("zeta-hasse", k=50), vec(0.5 + 31.51j), AlphaGrid(-1.2, 0.35, 0.05),
@@ -507,7 +511,7 @@ class TestMatchesReferenceLoop:
             (TargetFunction("cube", 2, lambda v: -(v**3)), vec(2, 1 + 1j),
              AlphaGrid(-1.5, 1.5, 0.1), {"Diverged", "MaxIterations"}),
         ],
-        ids=["ci", "ci-full", "ci-fails-at-x0", "si", "zeta-hasse", "example3", "poly",
+        ids=["ci", "ci-full", "ci-fails-at-x0", "ci-fails-at-step-1", "si", "zeta-hasse", "example3", "poly",
              "p-overflow", "cube-2d"],
     )
     def test_records_and_traces_are_bitwise_equal(self, target, x0, grid, statuses):

@@ -450,3 +450,22 @@ class TestLockstepEngine:
         report = run_sweep(f, np.array([0j]), AlphaGrid(0.3, 0.5, 0.1), FpnConfig(alpha=0.5))
         assert [r.status for r in report.records] == [SolveStatus.NumericalFailure] * 3
         assert all(r.iterations == 0 and r.residual_norm == math.inf for r in report.records)
+
+    def test_failure_at_the_first_step(self, block_rows):
+        # Ci is NaN at 1e6 without raising, so every run fails in its first
+        # update: the step leaves no rows, and the target is not called on them
+        inner = make_target("ci", k=50)
+
+        def evaluate_batch(x):
+            assert len(x) > 0
+            return inner.evaluate_batch(x)
+
+        f = dataclasses.replace(inner, evaluate_batch=evaluate_batch)
+        x0 = np.array([1e6 + 0j])
+        grid = AlphaGrid(-0.5, 0.5, 0.1)
+        records = run_sweep(f, x0, grid, FpnConfig(alpha=0.5)).records
+        solved = _per_order(f, x0, grid, FpnConfig(alpha=0.5))
+        assert list(map(_record_bits, records)) == list(map(_record_bits, solved))
+        assert [(r.status, r.iterations) for r in records] == [
+            (SolveStatus.NumericalFailure, 1)
+        ] * len(grid.values())
