@@ -91,10 +91,10 @@ def parse_grid(text: str) -> AlphaGrid:
     return AlphaGrid(lo=lo, hi=hi, step=step)
 
 
-def format_complex(z: complex, digits: int = 8) -> str:
+def format_complex(z: complex) -> str:
     if z.imag == 0.0:
-        return f"{z.real:.{digits}f}"
-    return f"{z.real:.{digits}f}{z.imag:+.{digits}f}i"
+        return f"{z.real:.8f}"
+    return f"{z.real:.8f}{z.imag:+.8f}i"
 
 
 def load_manifest(path: str | Path) -> dict[str, str]:

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 INTEGER_GUARD = 1e-9
+SEMIGROUP_REL_TOL = 1e-8  # semigroup_check's outer quadratures; inner ones 100x tighter
 
 
 @dataclass(frozen=True)
@@ -147,56 +148,53 @@ def semigroup_check(
     x: float,
     alpha: float,
     beta_ord: float,
-    rel_tol: float = 1e-8,
 ) -> float:
     """|I^alpha I^beta f(x) - I^(alpha+beta) f(x)| by nested quadrature."""
     if not (alpha > 0.0 and beta_ord > 0.0):
         raise DomainError("semigroup check needs positive orders")
-    inner_tol = rel_tol * 1e-2
+    inner_tol = SEMIGROUP_REL_TOL * 1e-2
 
     def inner(t: float) -> float:
         if t <= a:
             return 0.0
         return rl_integral_quadrature(f, a, t, beta_ord, inner_tol)
 
-    lhs = rl_integral_quadrature(inner, a, x, alpha, rel_tol)
-    rhs = rl_integral_quadrature(f, a, x, alpha + beta_ord, rel_tol)
+    lhs = rl_integral_quadrature(inner, a, x, alpha, SEMIGROUP_REL_TOL)
+    rhs = rl_integral_quadrature(f, a, x, alpha + beta_ord, SEMIGROUP_REL_TOL)
     return abs(lhs - rhs)
 
 
-def _g_factor(r: float, m: float, b: float) -> float:
-    # G_b(r, m) = 1 - B_r(m, b)/B(m, b); equals 1 when the terminals coincide
-    if r == 0.0:
-        return 1.0
-    return 1.0 - incomplete_beta_regularized(r, m, b)
-
-
-def _g_with_x_derivatives(
-    big_r: float, big_x: float, m: float, b: float
-) -> tuple[float, float, float]:
-    """G and its first two derivatives in x through r(x) = (a-c)/(x-c)."""
+def _g_with_x_derivatives(big_r: float, big_x: float, m: float, b: float, n: int) -> list[float]:
+    """G = 1 - B_r(m, b)/B(m, b) and its first n <= 2 derivatives in x through
+    r(x) = (a-c)/(x-c); G = 1 when the terminals coincide."""
     if big_r == 0.0:
-        return 1.0, 0.0, 0.0
+        return [1.0, 0.0, 0.0][: n + 1]
     r = big_r / big_x
+    g = [1.0 - incomplete_beta_regularized(r, m, b)]
+    if n == 0:
+        return g
     bfun = beta(m, b)
     density = r ** (m - 1.0) * (1.0 - r) ** (b - 1.0)
     dr = -big_r / (big_x * big_x)
+    g.append(-(density / bfun) * dr)
+    if n == 1:
+        return g
     d2r = 2.0 * big_r / (big_x * big_x * big_x)
-    g0 = 1.0 - incomplete_beta_regularized(r, m, b)
-    g1 = -(density / bfun) * dr
     ddensity = (m - 1.0) * r ** (m - 2.0) * (1.0 - r) ** (b - 1.0) - (
         b - 1.0
     ) * r ** (m - 1.0) * (1.0 - r) ** (b - 2.0)
-    g2 = -(ddensity * dr * dr + density * d2r) / bfun
-    return g0, g1, g2
+    g.append(-(ddensity * dr * dr + density * d2r) / bfun)
+    return g
 
 
 def rl_deriv_shifted_power(power: PowerFunctionSpec, order: FracOrder, x: float) -> float:
     """Fractional derivative of (x-c)^mu with lower terminal a, in closed form.
 
-    Negative orders use the single incomplete-beta term; orders in (0, 2)
-    use the Leibniz expansion with analytic first and second derivatives of
-    the incomplete-beta factor.
+    It is d^n/dx^n of Gamma(mu+1)/Gamma(mu+n-alpha+1) (x-c)^(mu+n-alpha) G(x),
+    with G the incomplete-beta factor and n = ceil(alpha), or n = 0 below
+    zero.  One Leibniz sum over k = 0..n gives it: C(n, k) times the k-th
+    derivative of the power times the (n-k)-th of G.  Only the derivatives
+    of G that the sum uses are computed.
     """
     mu, c, a = power.mu, power.c, power.a
     alpha = order.alpha
@@ -205,18 +203,8 @@ def rl_deriv_shifted_power(power: PowerFunctionSpec, order: FracOrder, x: float)
     if abs(alpha) >= 2.0:
         raise DomainError(f"closed form covers alpha in (-2, 2), got {alpha!r}")
     big_x = x - c
-    big_r = a - c
-    if alpha < 0.0:
-        g = _g_factor(big_r / big_x, mu + 1.0, -alpha)
-        return (
-            gamma_real(mu + 1.0)
-            * recip_gamma(mu - alpha + 1.0)
-            * big_x ** (mu - alpha)
-            * g
-        )
     n = order.n_ceiling
-    g0, g1, g2 = _g_with_x_derivatives(big_r, big_x, mu + 1.0, n - alpha)
-    g_derivs = (g0, g1, g2)
+    g_derivs = _g_with_x_derivatives(a - c, big_x, mu + 1.0, n - alpha, n)
     total = 0.0
     for k in range(n + 1):
         g_k = g_derivs[n - k]

@@ -47,7 +47,8 @@ class AlphaGrid:
         orders = []
         for k in range(count):
             v = self.lo + k * self.step
-            if abs(v - round(v)) >= self.integer_exclusion:
+            # _count's margin can step past hi, and so past 2 when hi = 2
+            if abs(v - round(v)) >= self.integer_exclusion and v <= 2.0:
                 orders.append(v)
         if not orders:
             raise DomainError("grid is empty after integer exclusion")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,6 +39,7 @@ EULER_MASCHERONI = 0.5772156649015329
 
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
+_REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
 REGISTRY_NAMES = ("ci", "si", "zeta-hasse", "example3", "poly")
 
@@ -59,12 +61,6 @@ class TargetFunction:
     evaluate: Callable[[np.ndarray], np.ndarray]
     truncation_k: int | None = None
     evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def _complex_fsum(terms: list[complex]) -> complex:
-    # correctly rounded sum of each component; the alternating series here
-    # have intermediate terms up to ~1e11 at the outer roots
-    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
 # fsum of terms that are all -0.0: 0.0 on Python 3.11, which drops the sign
@@ -150,18 +146,6 @@ def _series_terms(
     return terms
 
 
-def _complex_column_fsums(terms: np.ndarray) -> list[complex]:
-    # _complex_fsum of every point of a _series_terms table
-    sums = _column_fsums(terms)
-    half = len(sums) // 2
-    return [complex(re, im) for re, im in zip(sums[:half], sums[half:])]
-
-
-def _square(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # re and im of z*z, rounded as Python's complex product rounds them
-    return re * re - im * im, re * im + im * re
-
-
 def _inverse_of_int(denominator: int) -> float:
     # exact integer -> correctly rounded reciprocal; the alternating series
     # peak near |x| ~ 30 at ~1e11, so coefficient error must stay at 0.5 ulp
@@ -171,79 +155,73 @@ def _inverse_of_int(denominator: int) -> float:
         return 0.0
 
 
+def _series_target(name: str, k: int, odd: bool, head: float, log: bool) -> TargetFunction:
+    """f(x) = head - [log(x)] - sum_n (-1)^(n//2) x^n / (n n!), the sum over the
+    even powers n = 2..2k or, if odd, over the odd powers n = 1..2k+1.  With
+    log, x = 0 is a singularity.
+
+    The scalar path builds each term as a Python complex product, from the
+    first power x (odd) or (1+0j) * x^2, and takes the correctly rounded sum
+    of each component with math.fsum: the alternating terms reach ~1e11 at
+    the outer roots.  The batch path reproduces those bits through
+    _series_terms and _column_fsums.
+    """
+    if k < 1:
+        raise DomainError(f"series truncation must be >= 1, got k={k!r}")
+    exponents = range(2 - odd, 2 * k + 2, 2)
+    mags = [_inverse_of_int(n * math.factorial(n)) for n in exponents]
+    reals = np.array([-mag if n // 2 % 2 else mag for n, mag in zip(exponents, mags)])
+    # complex coefficients: complex x complex terms on every Python version
+    first, *tail = [complex(c, 0.0) for c in reals.tolist()]
+
+    def evaluate(v: np.ndarray) -> np.ndarray:
+        z = complex(v[0])
+        if log and z == 0:
+            raise EvaluationError("logarithmic singularity at x = 0")
+        z2 = z * z
+        power = z if odd else (1.0 + 0.0j) * z2
+        terms = [first * power]
+        for c in tail:
+            power *= z2
+            terms.append(c * power)
+        acc = complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+        return np.array([head - cmath.log(z) - acc if log else head - acc], dtype=np.complex128)
+
+    def evaluate_batch(x: np.ndarray) -> np.ndarray:
+        zs = x[:, 0]
+        if log and np.any(zs == 0):
+            raise EvaluationError("logarithmic singularity at x = 0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = zs.real, zs.imag
+            # z*z, rounded as Python's complex product rounds it
+            z2re, z2im = re * re - im * im, re * im + im * re
+            if not odd:
+                # the first power (1+0j) * z2
+                re, im = 1.0 * z2re - 0.0 * z2im, 1.0 * z2im + 0.0 * z2re
+            terms = _series_terms(reals, re, im, z2re, z2im)
+        sums = _column_fsums(terms)
+        accs = map(complex, sums[: len(zs)], sums[len(zs) :])
+        if log:
+            values = [head - cmath.log(z) - acc for z, acc in zip(zs.tolist(), accs)]
+        else:
+            values = [head - acc for acc in accs]
+        return np.array(values, dtype=np.complex128).reshape(-1, 1)
+
+    return TargetFunction(name, 1, evaluate, truncation_k=k, evaluate_batch=evaluate_batch)
+
+
 def ci_series(k: int) -> TargetFunction:
     """Truncated series for the cosine integral Ci tail:
     f_k(x) = -gamma - log(x) - sum_{m=1}^{k} (-1)^m x^(2m) / (2m (2m)!).
     """
-    if k < 1:
-        raise DomainError(f"series truncation must be >= 1, got k={k!r}")
-    mags = [_inverse_of_int(2 * m * math.factorial(2 * m)) for m in range(1, k + 1)]
-    reals = np.array([-mag if m % 2 else mag for m, mag in enumerate(mags, start=1)])
-    # complex coefficients: complex x complex terms on every Python version
-    coeffs = [complex(c, 0.0) for c in reals.tolist()]
-
-    def _eval(v: np.ndarray) -> np.ndarray:
-        z = complex(v[0])
-        if z == 0:
-            raise EvaluationError("logarithmic singularity at x = 0")
-        z2 = z * z
-        power = 1.0 + 0.0j
-        terms = []
-        for c in coeffs:
-            power *= z2
-            terms.append(c * power)
-        acc = _complex_fsum(terms)
-        return np.array([-EULER_MASCHERONI - cmath.log(z) - acc], dtype=np.complex128)
-
-    def _eval_batch(x: np.ndarray) -> np.ndarray:
-        if np.any(x[:, 0] == 0):
-            raise EvaluationError("logarithmic singularity at x = 0")
-        with np.errstate(over="ignore", invalid="ignore"):
-            z2re, z2im = _square(x[:, 0].real, x[:, 0].imag)
-            # the first power *= z2, from power = 1+0j
-            first_re = 1.0 * z2re - 0.0 * z2im
-            first_im = 1.0 * z2im + 0.0 * z2re
-            terms = _series_terms(reals, first_re, first_im, z2re, z2im)
-        values = [
-            -EULER_MASCHERONI - cmath.log(z) - acc
-            for z, acc in zip(x[:, 0].tolist(), _complex_column_fsums(terms))
-        ]
-        return np.array(values, dtype=np.complex128).reshape(-1, 1)
-
-    return TargetFunction("ci", 1, _eval, truncation_k=k, evaluate_batch=_eval_batch)
+    return _series_target("ci", k, odd=False, head=-EULER_MASCHERONI, log=True)
 
 
 def si_series(k: int) -> TargetFunction:
     """Truncated series for the sine integral tail:
     f_k(x) = pi/2 - sum_{m=0}^{k} (-1)^m x^(2m+1) / ((2m+1) (2m+1)!).
     """
-    if k < 1:
-        raise DomainError(f"series truncation must be >= 1, got k={k!r}")
-    mags = [_inverse_of_int((2 * m + 1) * math.factorial(2 * m + 1)) for m in range(k + 1)]
-    reals = np.array([-mag if m % 2 else mag for m, mag in enumerate(mags)])
-    # complex coefficients: complex x complex terms on every Python version
-    coeffs = [complex(c, 0.0) for c in reals.tolist()]
-    head, tail = coeffs[0], coeffs[1:]
-
-    def _eval(v: np.ndarray) -> np.ndarray:
-        z = complex(v[0])
-        z2 = z * z
-        power = z
-        terms = [head * power]
-        for c in tail:
-            power *= z2
-            terms.append(c * power)
-        acc = _complex_fsum(terms)
-        return np.array([0.5 * math.pi - acc], dtype=np.complex128)
-
-    def _eval_batch(x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            re, im = x[:, 0].real, x[:, 0].imag
-            terms = _series_terms(reals, re, im, *_square(re, im))
-        values = [0.5 * math.pi - acc for acc in _complex_column_fsums(terms)]
-        return np.array(values, dtype=np.complex128).reshape(-1, 1)
-
-    return TargetFunction("si", 1, _eval, truncation_k=k, evaluate_batch=_eval_batch)
+    return _series_target("si", k, odd=True, head=0.5 * math.pi, log=False)
 
 
 # typed, so that a non-int k fails in range() whatever k was cached before
@@ -398,20 +376,26 @@ def zeta_functional(x: complex, inner: TargetFunction) -> complex:
     return cmath.exp(total)
 
 
-def zeta_functional_target(inner: TargetFunction | None = None, k: int = 50) -> TargetFunction:
-    """1-d target wrapping the functional-equation evaluator (for probes)."""
-    inner_fn = inner if inner is not None else hasse_zeta(k)
+def zeta_functional_target(k: int = 50) -> TargetFunction:
+    """1-d target wrapping the functional-equation evaluator around
+    hasse_zeta(k) (for probes)."""
+    inner = hasse_zeta(k)
 
     def _eval(v: np.ndarray) -> np.ndarray:
-        return np.array([zeta_functional(complex(v[0]), inner_fn)], dtype=np.complex128)
+        return np.array([zeta_functional(complex(v[0]), inner)], dtype=np.complex128)
 
-    return TargetFunction("zeta-func", 1, _eval, truncation_k=inner_fn.truncation_k)
+    return TargetFunction("zeta-func", 1, _eval, truncation_k=k)
 
 
-def _rows(kernel: Callable[..., list[complex]]) -> Callable[[np.ndarray], np.ndarray]:
-    # evaluate_batch of a target whose evaluate is kernel(*components); a
-    # failing row does not stop the block, and the first failure is raised
-    # with every row's value as its batch_values
+def _kernel_target(
+    name: str, dimension: int, kernel: Callable[..., list[complex]]
+) -> TargetFunction:
+    # the target kernel(*v) at a complex128 vector v; a batch runs it row by
+    # row, a failing row does not stop the block, and the first failure is
+    # raised with every row's value as its batch_values
+    def evaluate(v: np.ndarray) -> np.ndarray:
+        return np.array(kernel(*v.tolist()), dtype=np.complex128)
+
     def evaluate_batch(x: np.ndarray) -> np.ndarray:
         values: list[list[complex] | None] = []
         failure = None
@@ -426,7 +410,7 @@ def _rows(kernel: Callable[..., list[complex]]) -> Callable[[np.ndarray], np.nda
             raise failure
         return np.array(values, dtype=np.complex128)
 
-    return evaluate_batch
+    return TargetFunction(name, dimension, evaluate, evaluate_batch=evaluate_batch)
 
 
 def example3_system() -> TargetFunction:
@@ -445,10 +429,7 @@ def example3_system() -> TargetFunction:
             raise EvaluationError(f"example3 is undefined at ({x1!r}, {x2!r})") from exc
         return [f1, f2]
 
-    def _eval(v: np.ndarray) -> np.ndarray:
-        return np.array(kernel(complex(v[0]), complex(v[1])), dtype=np.complex128)
-
-    return TargetFunction("example3", 2, _eval, evaluate_batch=_rows(kernel))
+    return _kernel_target("example3", 2, kernel)
 
 
 def polynomial(coeffs: Sequence[complex]) -> TargetFunction:
@@ -465,10 +446,7 @@ def polynomial(coeffs: Sequence[complex]) -> TargetFunction:
             acc = acc * z + c
         return [acc]
 
-    def _eval(v: np.ndarray) -> np.ndarray:
-        return np.array(kernel(complex(v[0])), dtype=np.complex128)
-
-    return TargetFunction("poly", 1, _eval, evaluate_batch=_rows(kernel))
+    return _kernel_target("poly", 1, kernel)
 
 
 def parse_complex(text: str) -> complex:

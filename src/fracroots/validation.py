@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 MONOMIAL_CASES = 100
+MONOMIAL_SEED = 20240809
 MONOMIAL_REL_TOL = 1e-5
 SEMIGROUP_TOL = 1e-5
 
@@ -47,14 +48,12 @@ def _draw_monomial_case(rng: random.Random) -> tuple[float, float, float]:
         return mu, alpha, rng.uniform(0.1, 5.0)
 
 
-def monomial_oracle_suite(
-    cases: int = MONOMIAL_CASES, seed: int = 20240809, rel_tol: float = MONOMIAL_REL_TOL
-) -> tuple[bool, str]:
+def monomial_oracle_suite() -> tuple[bool, str]:
     """Closed-form monomial rule vs quadrature/finite-difference oracle."""
-    rng = random.Random(seed)
+    rng = random.Random(MONOMIAL_SEED)
     worst = 0.0
     worst_case = None
-    for _ in range(cases):
+    for _ in range(MONOMIAL_CASES):
         mu, alpha, x = _draw_monomial_case(rng)
 
         def power_fn(t: float, _mu: float = mu) -> float:
@@ -66,8 +65,8 @@ def monomial_oracle_suite(
         if gap > worst:
             worst = gap
             worst_case = (mu, alpha, x)
-    ok = worst <= rel_tol
-    return ok, f"{cases} cases, worst relative gap {worst:.2e} at {worst_case}"
+    ok = worst <= MONOMIAL_REL_TOL
+    return ok, f"{MONOMIAL_CASES} cases, worst relative gap {worst:.2e} at {worst_case}"
 
 
 def _semigroup_cases() -> list[tuple[str, Callable[[float], float], float, float, float]]:
@@ -86,7 +85,7 @@ def _semigroup_cases() -> list[tuple[str, Callable[[float], float], float, float
     ]
 
 
-def semigroup_suite(tol: float = SEMIGROUP_TOL) -> tuple[bool, str]:
+def semigroup_suite() -> tuple[bool, str]:
     """Fixed 20-case nested-quadrature check of I^a I^b = I^(a+b)."""
     worst = 0.0
     worst_case = None
@@ -95,7 +94,7 @@ def semigroup_suite(tol: float = SEMIGROUP_TOL) -> tuple[bool, str]:
         if gap > worst:
             worst = gap
             worst_case = (name, alpha, beta_ord, x)
-    ok = worst <= tol
+    ok = worst <= SEMIGROUP_TOL
     return ok, f"20 cases, worst discrepancy {worst:.2e} at {worst_case}"
 
 

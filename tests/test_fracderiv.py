@@ -137,13 +137,31 @@ class TestShiftedPower:
         assert value == pytest.approx(0.5 / SQRT_PI, rel=1e-12)
         assert value == pytest.approx(0.28209479177387814, rel=1e-12)
 
-    def test_negative_order_against_quadrature(self):
-        spec = PowerFunctionSpec(mu=2.0, c=-1.0, a=0.0)
-        value = rl_deriv_shifted_power(spec, FracOrder(-0.5), 1.0)
-        oracle = rl_integral_quadrature(
-            lambda t: (t + 1.0) ** 2, 0.0, 1.0, 0.5, rel_tol=1e-10
-        )
+    @pytest.mark.parametrize(
+        "mu,c,a,alpha,x",
+        [
+            pytest.param(2.0, -1.0, 0.0, -0.5, 1.0, id="shifted"),
+            # a = c, so r = 0 and the incomplete-beta factor is exactly 1
+            pytest.param(1.5, -0.5, -0.5, -0.7, 1.0, id="terminal-at-shift"),
+            pytest.param(-0.4, -1.0, 0.0, -0.6, 1.5, id="mu-between-minus-1-and-0"),
+            pytest.param(0.5, -1.0, 0.0, -1.4, 2.0, id="alpha-between-minus-2-and-minus-1"),
+        ],
+    )
+    def test_negative_order_against_quadrature(self, mu, c, a, alpha, x):
+        # n = ceil(alpha) = 0: the Leibniz sum is its single incomplete-beta term
+        spec = PowerFunctionSpec(mu=mu, c=c, a=a)
+        value = rl_deriv_shifted_power(spec, FracOrder(alpha), x)
+        oracle = rl_integral_quadrature(lambda t: (t - c) ** mu, a, x, -alpha, rel_tol=1e-10)
         assert value == pytest.approx(oracle, rel=1e-8)
+
+    def test_first_order_needs_no_second_derivative(self):
+        # r = 1e-250: r^(mu - 1) in the second x-derivative of G overflows,
+        # but an order in (0, 1) uses G and its first derivative only.  G is
+        # 1 to within 1e-120, so the value is the monomial rule's.
+        spec = PowerFunctionSpec(mu=-0.5, c=0.0, a=1e-250)
+        value = rl_deriv_shifted_power(spec, FracOrder(0.3), 1.0)
+        limit = rl_deriv_monomial(-0.5, FracOrder(0.3), 1.0).real
+        assert value == pytest.approx(limit, rel=1e-12)
 
     @pytest.mark.parametrize(
         "mu,c,alpha,x",

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracroots import cli, solver, targets
@@ -61,20 +61,25 @@ class TestAlphaGrid:
     @settings(max_examples=50)
     @given(
         st.floats(min_value=-2.0, max_value=1.0),
-        st.floats(min_value=0.01, max_value=1.0),
-        st.floats(min_value=0.001, max_value=0.2),
+        st.floats(min_value=0.01, max_value=4.0),
+        st.floats(min_value=0.001, max_value=4.0),
+        st.sampled_from([1e-9, 1e-6, 0.01]),
     )
-    def test_emitted_values_respect_exclusion(self, lo, width, step):
+    # _count's margin of 1e-9 of a step reaches 2.00000000175 here, past a
+    # 1e-9 exclusion band around 2
+    @example(-1.5, 3.5, 3.5 * (1 + 5e-10), 1e-9)
+    def test_emitted_values_respect_exclusion(self, lo, width, step, exclusion):
         hi = min(lo + width, 2.0)
         if not lo < hi:
             return
         try:
-            grid = AlphaGrid(lo=lo, hi=hi, step=step)
+            grid = AlphaGrid(lo=lo, hi=hi, step=step, integer_exclusion=exclusion)
         except DomainError:
             return
         for v in grid.values():
-            assert abs(v - round(v)) >= grid.integer_exclusion
-            assert lo - 1e-9 <= v <= hi + 1e-9
+            assert abs(v - round(v)) >= exclusion
+            assert lo <= v <= min(hi + 2e-9 * step, 2.0)
+            FpnConfig(alpha=v)
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +334,7 @@ class TestLockstepEngine:
             kernel_calls.append((x1, x2))
             return inner.evaluate(np.array([x1, x2])).tolist()
 
-        row_kernel = targets._rows(kernel)
+        row_kernel = targets._kernel_target("example3", 2, kernel).evaluate_batch
 
         def evaluate_batch(x):
             try:
