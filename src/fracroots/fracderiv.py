@@ -89,6 +89,16 @@ def recip_gamma(x: float) -> float:
         return 0.0
 
 
+def _gamma_ratio(p: float, q: float) -> float:
+    """Gamma(p)/Gamma(q), through log-gamma where Gamma(p) overflows and p, q > 0."""
+    try:
+        return gamma_real(p) * recip_gamma(q)
+    except OverflowError:
+        if p > 0.0 and q > 0.0:
+            return math.exp(math.lgamma(p) - math.lgamma(q))
+        raise
+
+
 def complex_power(z: complex, w: complex) -> complex:
     """Principal-branch power z**w, Arg z in (-pi, pi].
 
@@ -164,25 +174,33 @@ def semigroup_check(
     return abs(lhs - rhs)
 
 
-def _g_with_x_derivatives(big_r: float, big_x: float, m: float, b: float, n: int) -> list[float]:
-    """G = 1 - B_r(m, b)/B(m, b) and its first n <= 2 derivatives in x through
+def _g_with_x_derivatives(a: float, c: float, x: float, m: float, b: float, n: int) -> list[float]:
+    """G = 1 - I_r(m, b) and its first n <= 2 derivatives in x through
     r(x) = (a-c)/(x-c); G = 1 when the terminals coincide."""
+    big_r, big_x = a - c, x - c
     if big_r == 0.0:
         return [1.0, 0.0, 0.0][: n + 1]
     r = big_r / big_x
-    g = [1.0 - incomplete_beta_regularized(r, m, b)]
+    if r > 0.5:
+        # G = I_(1-r)(b, m) with 1 - r formed directly: where r rounds to 1,
+        # 1 - I_r(m, b) would cancel to 0
+        s = (x - a) / big_x
+        g = [incomplete_beta_regularized(s, b, m)]
+    else:
+        s = 1.0 - r
+        g = [1.0 - incomplete_beta_regularized(r, m, b)]
     if n == 0:
         return g
     bfun = beta(m, b)
-    density = r ** (m - 1.0) * (1.0 - r) ** (b - 1.0)
+    density = r ** (m - 1.0) * s ** (b - 1.0)
     dr = -big_r / (big_x * big_x)
     g.append(-(density / bfun) * dr)
     if n == 1:
         return g
     d2r = 2.0 * big_r / (big_x * big_x * big_x)
-    ddensity = (m - 1.0) * r ** (m - 2.0) * (1.0 - r) ** (b - 1.0) - (
+    ddensity = (m - 1.0) * r ** (m - 2.0) * s ** (b - 1.0) - (
         b - 1.0
-    ) * r ** (m - 1.0) * (1.0 - r) ** (b - 2.0)
+    ) * r ** (m - 1.0) * s ** (b - 2.0)
     g.append(-(ddensity * dr * dr + density * d2r) / bfun)
     return g
 
@@ -204,7 +222,7 @@ def rl_deriv_shifted_power(power: PowerFunctionSpec, order: FracOrder, x: float)
         raise DomainError(f"closed form covers alpha in (-2, 2), got {alpha!r}")
     big_x = x - c
     n = order.n_ceiling
-    g_derivs = _g_with_x_derivatives(a - c, big_x, mu + 1.0, n - alpha, n)
+    g_derivs = _g_with_x_derivatives(a, c, x, mu + 1.0, n - alpha, n)
     total = 0.0
     for k in range(n + 1):
         g_k = g_derivs[n - k]
@@ -212,8 +230,7 @@ def rl_deriv_shifted_power(power: PowerFunctionSpec, order: FracOrder, x: float)
             continue
         total += (
             binomial(n, k)
-            * gamma_real(mu + 1.0)
-            * recip_gamma(mu + n - alpha - k + 1.0)
+            * _gamma_ratio(mu + 1.0, mu + n - alpha - k + 1.0)
             * big_x ** (mu + n - alpha - k)
             * g_k
         )
@@ -232,7 +249,7 @@ def rl_deriv_monomial(mu: float, order: FracOrder, z: complex) -> complex:
         if p > 0.0:
             return 0.0 + 0.0j
         raise DomainError("z = 0 with nonpositive result exponent")
-    return gamma_real(mu + 1.0) * recip_gamma(mu - order.alpha + 1.0) * complex_power(zc, p)
+    return _gamma_ratio(mu + 1.0, mu - order.alpha + 1.0) * complex_power(zc, p)
 
 
 def rl_deriv_constant(c_value: complex, order: FracOrder, z: complex) -> complex:

@@ -283,33 +283,23 @@ class _Run:
 
 
 def _evaluate_rows(f: "TargetFunction", rows: list[list[complex]]) -> list[list[complex] | None]:
-    """f at every iterate in rows, None where the target fails, from one
-    evaluate_batch call.  If that call fails, the rows' values come from its
-    exception's batch_values; if it fails without them, or the target has no
-    evaluate_batch, the rows are evaluated one by one, so a failure lands on
-    its own row.  A single row goes through evaluate: the TargetFunction
-    contract makes that bitwise the same, and it skips a batch evaluator's
-    fixed per-call cost (a 1-row Ci batch call costs over ten evaluate calls).
-    No rows, as when every run of a step failed, make no call."""
+    """f at every iterate in rows, None where the target fails.  A single row
+    goes through evaluate: the TargetFunction contract makes that bitwise the
+    same, and it skips a batch evaluator's fixed per-call cost (a 1-row Ci
+    batch call costs over ten evaluate calls).  No rows, as when every run of
+    a step failed, make no call.  A target without evaluate_batch is
+    evaluated row by row; otherwise one evaluate_batch call gives every row,
+    and an exception from it propagates."""
     if len(rows) == 1:
         return [_evaluate_one(f, rows[0])]
     if not rows:
         return []
-    if f.evaluate_batch is not None:
-        x = np.array(rows, dtype=np.complex128)
-        try:
-            values = f.evaluate_batch(x)
-        except TARGET_FAILURES as exc:
-            values = getattr(exc, "batch_values", None)
-            if values is not None:
-                if len(values) != len(rows):
-                    raise ValueError(f"batch_values has {len(values)} rows for {len(rows)}")
-                return values
-        else:
-            if values.shape != x.shape:
-                raise ValueError(f"evaluate_batch returned shape {values.shape} for {x.shape}")
-            return values.tolist()
-    return [_evaluate_one(f, zs) for zs in rows]
+    if f.evaluate_batch is None:
+        return [_evaluate_one(f, zs) for zs in rows]
+    values = f.evaluate_batch(np.array(rows, dtype=np.complex128))
+    if len(values) != len(rows):
+        raise ValueError(f"evaluate_batch returned {len(values)} rows for {len(rows)}")
+    return values
 
 
 def _solve(

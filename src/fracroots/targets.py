@@ -49,26 +49,25 @@ class TargetFunction:
     """Evaluatable f: C^n -> C^n with dimension and truncation metadata.
 
     evaluate must be deterministic and side-effect-free.  evaluate_batch, if
-    given, maps a (B, n) complex128 array to a (B, n) one whose every row
-    equals evaluate on that row bit for bit; where evaluate fails on any row,
-    it raises EvaluationError, OverflowError or ZeroDivisionError.  That
-    exception may carry batch_values: for every row, evaluate(row).tolist(),
-    or None where evaluate fails, so that no row needs evaluating again.
+    given, maps a (B, n) complex128 array to a list of B rows: each is
+    evaluate(row).tolist() bit for bit, or None where evaluate raises one of
+    TARGET_FAILURES.  A failed row is data, so it never raises for one.
     """
 
     name: str
     dimension: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     truncation_k: int | None = None
-    evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    evaluate_batch: Callable[[np.ndarray], list[list[complex] | None]] | None = None
 
 
 # fsum of terms that are all -0.0: 0.0 on Python 3.11, which drops the sign
 _FSUM_OF_NEGATIVE_ZERO = math.fsum([-0.0])
 
 
-def _column_fsums(terms: np.ndarray) -> list[float]:
-    """math.fsum of every column of the (k, R) float64 array terms, bit for bit.
+def _column_fsums(terms: np.ndarray) -> list[float | None]:
+    """math.fsum of every column of the (k, R) float64 array terms, bit for
+    bit, or None where it raises OverflowError.
 
     A pairwise TwoSum cascade (Ogita, Rump & Oishi, "Accurate sum and dot
     product", 2005) splits each column without rounding error into a sum s
@@ -82,7 +81,7 @@ def _column_fsums(terms: np.ndarray) -> list[float]:
     signed zeros sums to fsum's zero of the same signs.  The remaining columns
     (a zero result of nonzero terms, a near-tie, a non-finite term, or terms
     large enough that fsum could overflow in between) go through math.fsum,
-    which keeps its OverflowError, ValueError and special values.
+    which keeps its special values and ValueError.
     """
     k = terms.shape[0]
     work = terms.copy()
@@ -117,7 +116,10 @@ def _column_fsums(terms: np.ndarray) -> list[float]:
         certified |= zero
     sums = r.tolist()
     for j in np.flatnonzero(~certified).tolist():
-        sums[j] = math.fsum(terms[:, j].tolist())
+        try:
+            sums[j] = math.fsum(terms[:, j].tolist())
+        except OverflowError:
+            sums[j] = None
     return sums
 
 
@@ -187,10 +189,8 @@ def _series_target(name: str, k: int, odd: bool, head: float, log: bool) -> Targ
         acc = complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
         return np.array([head - cmath.log(z) - acc if log else head - acc], dtype=np.complex128)
 
-    def evaluate_batch(x: np.ndarray) -> np.ndarray:
+    def evaluate_batch(x: np.ndarray) -> list[list[complex] | None]:
         zs = x[:, 0]
-        if log and np.any(zs == 0):
-            raise EvaluationError("logarithmic singularity at x = 0")
         with np.errstate(over="ignore", invalid="ignore"):
             re, im = zs.real, zs.imag
             # z*z, rounded as Python's complex product rounds it
@@ -200,12 +200,11 @@ def _series_target(name: str, k: int, odd: bool, head: float, log: bool) -> Targ
                 re, im = 1.0 * z2re - 0.0 * z2im, 1.0 * z2im + 0.0 * z2re
             terms = _series_terms(reals, re, im, z2re, z2im)
         sums = _column_fsums(terms)
-        accs = map(complex, sums[: len(zs)], sums[len(zs) :])
-        if log:
-            values = [head - cmath.log(z) - acc for z, acc in zip(zs.tolist(), accs)]
-        else:
-            values = [head - acc for acc in accs]
-        return np.array(values, dtype=np.complex128).reshape(-1, 1)
+        return [
+            None if re is None or im is None or (log and z == 0)
+            else [(head - cmath.log(z) if log else head) - complex(re, im)]
+            for z, re, im in zip(zs.tolist(), sums[: len(zs)], sums[len(zs) :])
+        ]
 
     return TargetFunction(name, 1, evaluate, truncation_k=k, evaluate_batch=evaluate_batch)
 
@@ -301,25 +300,30 @@ def hasse_zeta(k: int) -> TargetFunction:
             value = complex(weights @ (factors[0] * factors[1]) / prefactor_denom)
         return np.array([value], dtype=np.complex128)
 
-    def _eval_batch(x: np.ndarray) -> np.ndarray:
-        # 64 rows at a time, so each (rows, k+1) clongdouble temporary stays
-        # under glibc's 128 KiB mmap threshold for k <= 60.  On x86-64 Linux
-        # a whole 128-row block page-faulted its scratch in again on every
-        # call (~90 faults) and cost 10% more a point.
-        return np.concatenate([_eval_block(x[i : i + 64]) for i in range(0, len(x), 64)])
-
-    def _eval_block(x: np.ndarray) -> np.ndarray:
-        # _eval's longdouble operations elementwise over a (B, G) block
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            powers = neg_log * x[:, :1]
-            np.exp(powers, out=powers)
-            prefactor_denom = 1 - 2 * powers[:, 1]
-            if any(abs(d) < 1e-12 for d in prefactor_denom.astype(np.complex128).tolist()):
-                raise EvaluationError("pole of the series prefactor (2^(1-x) = 1)")
-            products = powers[:, pair_index[0]]
-            products *= powers[:, pair_index[1]]
-            values = weights @ products.T / prefactor_denom
-            return values.astype(np.complex128).reshape(-1, 1)
+    def _eval_batch(x: np.ndarray) -> list[list[complex] | None]:
+        # _eval's longdouble operations elementwise over a (B, G) block, None
+        # at the prefactor poles.  64 rows at a time, so each (rows, k+1)
+        # clongdouble temporary stays under glibc's 128 KiB mmap threshold
+        # for k <= 60.  On x86-64 Linux a whole 128-row block page-faulted
+        # its scratch in again on every call (~90 faults) and cost 10% more
+        # a point.
+        rows: list[list[complex] | None] = []
+        for i in range(0, len(x), 64):
+            with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+                powers = neg_log * x[i : i + 64, :1]
+                np.exp(powers, out=powers)
+                prefactor_denom = 1 - 2 * powers[:, 1]
+                products = powers[:, pair_index[0]]
+                products *= powers[:, pair_index[1]]
+                values = weights @ products.T / prefactor_denom
+                denoms = prefactor_denom.astype(np.complex128).tolist()
+                values = values.astype(np.complex128).tolist()
+            for d, v in zip(denoms, values):
+                try:
+                    rows.append(None if abs(d) < 1e-12 else [v])
+                except OverflowError:  # |d| beyond the double range, as in _eval
+                    rows.append(None)
+        return rows
 
     return TargetFunction("zeta-hasse", 1, _eval, truncation_k=k, evaluate_batch=_eval_batch)
 
@@ -391,24 +395,18 @@ def _kernel_target(
     name: str, dimension: int, kernel: Callable[..., list[complex]]
 ) -> TargetFunction:
     # the target kernel(*v) at a complex128 vector v; a batch runs it row by
-    # row, a failing row does not stop the block, and the first failure is
-    # raised with every row's value as its batch_values
+    # row, None on the rows where it fails
     def evaluate(v: np.ndarray) -> np.ndarray:
         return np.array(kernel(*v.tolist()), dtype=np.complex128)
 
-    def evaluate_batch(x: np.ndarray) -> np.ndarray:
+    def evaluate_batch(x: np.ndarray) -> list[list[complex] | None]:
         values: list[list[complex] | None] = []
-        failure = None
         for row in x.tolist():
             try:
                 values.append(kernel(*row))
-            except TARGET_FAILURES as exc:
-                failure = failure or exc
+            except TARGET_FAILURES:
                 values.append(None)
-        if failure is not None:
-            failure.batch_values = values
-            raise failure
-        return np.array(values, dtype=np.complex128)
+        return values
 
     return TargetFunction(name, dimension, evaluate, evaluate_batch=evaluate_batch)
 

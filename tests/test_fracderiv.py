@@ -154,6 +154,21 @@ class TestShiftedPower:
         oracle = rl_integral_quadrature(lambda t: (t - c) ** mu, a, x, -alpha, rel_tol=1e-10)
         assert value == pytest.approx(oracle, rel=1e-8)
 
+    def test_terminal_far_from_the_shift(self):
+        # r = (a-c)/(x-c) rounds to 1.0, so G = 1 - I_r(m, b) would cancel to
+        # 0; the value, I^0.5 of (t + 1e16)^2 at 0.5, is mpmath quadrature's
+        spec = PowerFunctionSpec(mu=2.0, c=-1e16, a=0.0)
+        value = rl_deriv_shifted_power(spec, FracOrder(-0.5), 0.5)
+        assert value == pytest.approx(7.978845608028654e31, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.5, -0.5])
+    def test_large_mu_does_not_overflow(self, alpha):
+        # Gamma(181) overflows a double, Gamma(181)/Gamma(181 - alpha) does not
+        spec = PowerFunctionSpec(mu=180.0, c=0.0, a=0.0)
+        value = rl_deriv_shifted_power(spec, FracOrder(alpha), 1.0)
+        expected = {0.5: 13.42572803871614, -0.5: 0.07438076475743012}[alpha]
+        assert value == pytest.approx(expected, rel=1e-12)
+
     def test_first_order_needs_no_second_derivative(self):
         # r = 1e-250: r^(mu - 1) in the second x-derivative of G overflows,
         # but an order in (0, 1) uses G and its first derivative only.  G is
@@ -169,7 +184,7 @@ class TestShiftedPower:
             (1.5, -0.5, 0.7, 2.0),
             (0.3, -1.0, 0.4, 1.5),
             (2.0, -0.25, 1.3, 2.5),
-            (1.0, -2.0, 1.7, 1.2),
+            (1.0, -2.0, 1.7, 1.2),  # r = 0.625, where G is I_(1-r)(b, m)
         ],
     )
     def test_positive_order_leibniz_against_oracle(self, mu, c, alpha, x):
@@ -217,6 +232,12 @@ class TestMonomial:
             for x in (0.8, 1.7, 3.0):
                 value = rl_deriv_monomial(2.0, FracOrder(alpha), complex(x))
                 assert value.real == pytest.approx(2.0 * x, rel=1e-4)
+
+    def test_large_mu_does_not_overflow(self):
+        # Gamma(181)/Gamma(180.5), though Gamma(181) overflows a double
+        value = rl_deriv_monomial(180.0, FracOrder(0.5), 1.0)
+        assert value.real == pytest.approx(13.42572803871614, rel=1e-12)
+        assert value.imag == 0.0
 
     def test_oracle_equivalence_hundred_cases(self):
         ok, detail = monomial_oracle_suite()

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracroots import cli, solver, targets
-from fracroots.errors import TARGET_FAILURES, DomainError, EvaluationError
+from fracroots.errors import DomainError, EvaluationError
 from fracroots.solver import FpnConfig, SolveStatus, fpn_solve
 from fracroots.sweep import AlphaGrid, run_sweep, stability_probe
 from fracroots.targets import TargetFunction, make_target, polynomial, zeta_functional_target
@@ -293,9 +293,8 @@ class TestLockstepEngine:
 
         def evaluate_batch(x):
             batches.append(len(x))
-            if any(row.tobytes() == bad for row in x):
-                raise EvaluationError("the planted failure")
-            return inner.evaluate_batch(x)
+            values = inner.evaluate_batch(x)
+            return [None if row.tobytes() == bad else v for row, v in zip(x, values)]
 
         f = TargetFunction("planted", 1, evaluate, evaluate_batch=evaluate_batch)
         records = run_sweep(f, x0, grid, base).records
@@ -316,12 +315,12 @@ class TestLockstepEngine:
             assert batches and max(batches) <= block_rows
 
     def test_every_example3_row_reaches_the_kernel_once(self, block_rows, monkeypatch):
-        # a block with a failing row reports every row's value, so the
-        # engine never evaluates a row again
+        # a block with failing rows reports every row's value, so the engine
+        # never evaluates a row again
         inner = make_target("example3")
         kernel_calls = []
         engine_rows = []
-        failed_blocks = []
+        failed_rows = []
         evaluate_rows = solver._evaluate_rows
 
         def spy(f, rows):
@@ -337,11 +336,9 @@ class TestLockstepEngine:
         row_kernel = targets._kernel_target("example3", 2, kernel).evaluate_batch
 
         def evaluate_batch(x):
-            try:
-                return row_kernel(x)
-            except TARGET_FAILURES:
-                failed_blocks.append(len(x))
-                raise
+            values = row_kernel(x)
+            failed_rows.append(values.count(None))
+            return values
 
         f = TargetFunction(
             "example3", 2, lambda v: np.array(kernel(*v.tolist())), evaluate_batch=evaluate_batch
@@ -351,11 +348,29 @@ class TestLockstepEngine:
         records = run_sweep(f, x0, grid, FpnConfig(alpha=0.5)).records
         # f(x0) once, then each row the engine evaluates exactly once,
         # whether it went through evaluate_batch or (alone) through evaluate
-        assert bool(failed_blocks) == (block_rows > 1)
+        assert (sum(failed_rows) > 0) == (block_rows > 1)
         assert len(kernel_calls) == 1 + sum(engine_rows)
         assert list(map(_record_bits, records)) == list(
             map(_record_bits, run_sweep(inner, x0, grid, FpnConfig(alpha=0.5)).records)
         )
+
+    def test_raising_batch_evaluator_propagates(self):
+        # a batch call that raises is not evaluated again row by row: the
+        # exception ends the sweep
+        inner = polynomial([1, 0, -1])
+        rows = []
+
+        def evaluate(v):
+            rows.append(v)
+            return inner.evaluate(v)
+
+        def evaluate_batch(x):
+            raise EvaluationError("the whole block failed")
+
+        f = TargetFunction("raising", 1, evaluate, evaluate_batch=evaluate_batch)
+        with pytest.raises(EvaluationError, match="the whole block failed"):
+            run_sweep(f, np.array([3 + 0j]), AlphaGrid(0.3, 0.9, 0.05), FpnConfig(alpha=0.5))
+        assert len(rows) == 1  # f(x0) only
 
     def test_blocks_never_exceed_the_cap(self, block_rows):
         inner = polynomial([1, 0, -1])
