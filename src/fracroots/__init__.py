@@ -21,7 +21,6 @@ from .fracderiv import (
     complex_power,
     rl_deriv_constant,
     rl_deriv_monomial,
-    rl_deriv_series,
     rl_deriv_shifted_power,
     rl_deriv_via_quadrature,
     rl_integral_quadrature,
@@ -32,7 +31,6 @@ from .solver import (
     IterationTrace,
     RootRecord,
     SolveStatus,
-    beta_exponent,
     build_p_matrix,
     estimate_convergence_order,
     fpn_solve,
@@ -43,7 +41,6 @@ from .specfun import (
     beta,
     binomial,
     gamma_real,
-    incomplete_beta,
     incomplete_beta_regularized,
     log_gamma_complex,
 )
@@ -84,7 +81,6 @@ __all__ = [
     "TargetFunction",
     "UniqueRoot",
     "beta",
-    "beta_exponent",
     "binomial",
     "build_p_matrix",
     "ci_series",
@@ -95,7 +91,6 @@ __all__ = [
     "fpn_step",
     "gamma_real",
     "hasse_zeta",
-    "incomplete_beta",
     "incomplete_beta_regularized",
     "log_gamma_complex",
     "make_target",
@@ -104,7 +99,6 @@ __all__ = [
     "polynomial",
     "rl_deriv_constant",
     "rl_deriv_monomial",
-    "rl_deriv_series",
     "rl_deriv_shifted_power",
     "rl_deriv_via_quadrature",
     "rl_integral_quadrature",

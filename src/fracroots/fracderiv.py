@@ -1,8 +1,8 @@
 """Riemann-Liouville fractional integrals and derivatives.
 
 Closed forms for shifted powers and monomials, the derivative-of-a-constant
-kernel used by the solver, termwise series derivatives, plus a quadrature /
-finite-difference route that serves as the independent oracle in tests.
+kernel used by the solver, plus a quadrature / finite-difference route that
+serves as the independent oracle in tests.
 scipy.integrate is imported on first use, inside rl_integral_quadrature, so
 importing fracroots does not pay for it.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DomainError, QuadratureError
 from .specfun import (
@@ -33,7 +33,6 @@ __all__ = [
     "rl_deriv_shifted_power",
     "rl_deriv_monomial",
     "rl_deriv_constant",
-    "rl_deriv_series",
     "rl_deriv_via_quadrature",
 ]
 
@@ -265,32 +264,6 @@ def rl_deriv_constant(c_value: complex, order: FracOrder, z: complex) -> complex
     if cv == 0:
         return 0.0 + 0.0j
     return cv * recip_gamma(1.0 - order.alpha) * complex_power(zc, -order.alpha)
-
-
-def rl_deriv_series(
-    taylor_coeffs: Sequence[float],
-    a: float,
-    order: FracOrder,
-    x: float,
-    truncation: int,
-) -> float:
-    """Termwise fractional derivative of a Taylor series around a:
-    sum_k f^(k)(a) / Gamma(k - alpha + 1) * (x-a)^(k-alpha), k = 0..truncation.
-    """
-    if truncation < 0:
-        raise DomainError(f"truncation must be nonnegative, got {truncation!r}")
-    if not x > a:
-        raise DomainError(f"requires x > a, got x={x!r}, a={a!r}")
-    base = x - a
-    alpha = order.alpha
-    total = 0.0
-    for k, coeff in enumerate(taylor_coeffs):
-        if k > truncation:
-            break
-        if coeff == 0.0:
-            continue
-        total += coeff * recip_gamma(k - alpha + 1.0) * base ** (k - alpha)
-    return total
 
 
 def rl_deriv_via_quadrature(

@@ -33,7 +33,6 @@ __all__ = [
     "IterationTrace",
     "RootRecord",
     "SolveStatus",
-    "beta_exponent",
     "build_p_matrix",
     "round_iterate",
     "fpn_step",
@@ -49,9 +48,14 @@ class SolveStatus(enum.Enum):
     NumericalFailure = "NumericalFailure"
 
 
+# a run whose iterate's norm exceeds this has Diverged
+DIVERGENCE_BOUND = 1e10
+
+
 @dataclass(frozen=True)
 class FpnConfig:
-    """All solver knobs.
+    """All solver knobs.  The divergence bound is not one: it is fixed at
+    DIVERGENCE_BOUND = 1e10.
 
     epsilon may be zero (the pure fractional-derivative chord); it only
     becomes load-bearing at iterates with zero components.
@@ -63,7 +67,6 @@ class FpnConfig:
     tol_residual: float = 1e-6
     max_iter: int = 500
     round_exponent_m: int = 5
-    divergence_bound: float = 1e10
 
     def __post_init__(self) -> None:
         a = float(self.alpha)
@@ -80,8 +83,6 @@ class FpnConfig:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if self.round_exponent_m < 1:
             raise DomainError(f"round_exponent_m must be >= 1, got {self.round_exponent_m!r}")
-        if not self.divergence_bound > 0.0:
-            raise DomainError("divergence_bound must be positive")
 
 
 @dataclass
@@ -148,19 +149,15 @@ def _norm(zs: list[complex]) -> float:
     return math.sqrt(s)
 
 
-def beta_exponent(alpha: float, z: complex) -> float:
-    """alpha away from the origin, 1 at it (where the constant kernel would
-    be discontinuous).  The zero test is exact: sqrt(z conj(z)) > 0."""
-    return alpha if complex(z) != 0 else 1.0
-
-
 def _p_entries(zs: list[complex], alpha: float, rg: float, epsilon: float) -> list[complex]:
-    # build_p_matrix on components zs, with rg = 1/Gamma(1 - alpha); every
-    # entry is complex, so the update multiplies complex by complex also on
-    # Pythons that multiply a float into a complex componentwise (3.14)
+    # build_p_matrix on components zs, with rg = 1/Gamma(1 - alpha): the
+    # rl_deriv_constant formula written out, as a call per entry would cost
+    # ex3 sweeps ~3%.  Every entry is complex, so the update multiplies complex
+    # by complex also on Pythons that multiply a float into a complex
+    # componentwise (3.14)
     entries = []
     for k, z in enumerate(zs):
-        if z == 0:  # beta_exponent is 1 here
+        if z == 0:  # beta is 1 here, and 1/Gamma(0) = 0 leaves epsilon
             entries.append(complex(epsilon))
             continue
         try:
@@ -227,7 +224,7 @@ def fpn_solve(
 
 
 def _start(f: "TargetFunction", x0) -> np.ndarray:
-    # the initial condition as a vector, checked against the target
+    # the initial condition, or a probe point, as a vector checked against the target
     x = as_complex_vector(x0)
     if x.shape[0] != f.dimension:
         raise DomainError(
@@ -247,7 +244,7 @@ def _verdict(
         return SolveStatus.NumericalFailure
     if step <= config.tol_step and res <= config.tol_residual:
         return SolveStatus.Converged
-    if _norm(zs) > config.divergence_bound:
+    if _norm(zs) > DIVERGENCE_BOUND:
         return SolveStatus.Diverged
     if i >= config.max_iter:
         return SolveStatus.MaxIterations

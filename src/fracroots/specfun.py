@@ -1,5 +1,5 @@
-"""Real and complex special functions: gamma, log-gamma, beta, incomplete beta,
-binomial coefficients.
+"""Real and complex special functions: gamma, log-gamma, beta, regularized
+incomplete beta, binomial coefficients.
 
 Everything here is a pure function.  The values come from scipy.special
 (log-gamma, regularized incomplete beta) and the stdlib (math.gamma,
@@ -19,7 +19,6 @@ __all__ = [
     "gamma_real",
     "log_gamma_complex",
     "beta",
-    "incomplete_beta",
     "incomplete_beta_regularized",
     "binomial",
 ]
@@ -88,11 +87,6 @@ def incomplete_beta_regularized(r: float, p: float, q: float) -> float:
     from scipy.special import betainc
 
     return float(betainc(p, q, r))
-
-
-def incomplete_beta(r: float, p: float, q: float) -> float:
-    """Incomplete beta function B_r(p, q) = int_0^r t^(p-1) (1-t)^(q-1) dt."""
-    return incomplete_beta_regularized(r, p, q) * beta(p, q)
 
 
 def binomial(m: int, p: int) -> int:

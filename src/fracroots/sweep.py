@@ -14,23 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .solver import FpnConfig, RootRecord, SolveStatus, _norm, _solve, as_complex_vector
+from .solver import FpnConfig, RootRecord, SolveStatus, _norm, _solve, _start, as_complex_vector
 from .targets import TargetFunction
 
 __all__ = ["AlphaGrid", "UniqueRoot", "SweepReport", "run_sweep", "stability_probe"]
 
 MAX_GRID_ORDERS = 1_000_000  # the largest shipped grid has 2,501 orders
+INTEGER_EXCLUSION = 0.01
 
 
 @dataclass(frozen=True)
 class AlphaGrid:
-    """Evenly spaced fractional orders in [lo, hi], minus an exclusion band
-    around every integer."""
+    """Evenly spaced fractional orders in [lo, hi], minus the orders within
+    a fixed INTEGER_EXCLUSION = 0.01 of an integer."""
 
     lo: float
     hi: float
     step: float
-    integer_exclusion: float = 0.01
 
     def __post_init__(self) -> None:
         if not (-2.0 <= self.lo < self.hi <= 2.0):
@@ -39,16 +39,14 @@ class AlphaGrid:
             )
         if not self.step > 0.0:
             raise DomainError(f"grid step must be positive, got {self.step!r}")
-        if not self.integer_exclusion >= 1e-9:
-            raise DomainError("integer exclusion must be at least 1e-9")
         count = self._count()
         if count > MAX_GRID_ORDERS:
             raise DomainError(f"grid has {count:,} orders, more than {MAX_GRID_ORDERS:,}")
         orders = []
         for k in range(count):
             v = self.lo + k * self.step
-            # _count's margin can step past hi, and so past 2 when hi = 2
-            if abs(v - round(v)) >= self.integer_exclusion and v <= 2.0:
+            # _count's margin can step past hi, but not out of the band around 2
+            if abs(v - round(v)) >= INTEGER_EXCLUSION:
                 orders.append(v)
         if not orders:
             raise DomainError("grid is empty after integer exclusion")
@@ -133,7 +131,7 @@ def stability_probe(
     f: TargetFunction, xi, deltas
 ) -> list[tuple[float, float]]:
     """Residual norms at xi shifted along the real axis by each delta."""
-    xiv = as_complex_vector(xi)
+    xiv = _start(f, xi)
     deltas = [float(d) for d in deltas]
     infinite = [d for d in deltas if not math.isfinite(d)]
     if infinite:

@@ -580,6 +580,17 @@ class TestStabilityCommand:
         assert captured.out == ""
         assert "probe offsets delta must be finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv", [["--target", "example3", "--xi", "1"], ["--target", "ci", "--xi", "1,2"]]
+    )
+    def test_wrong_dimension_exits_one(self, capsys, argv):
+        code = main(["stability", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("fracroots: error: ")
+        assert "dimension" in captured.err
+
     def test_polynomial_probe(self, capsys):
         code = main(
             ["stability", "--target", "poly", "--coeffs", "1,-1", "--xi", "1", "--delta", "1e-12"]

@@ -11,7 +11,6 @@ from fracroots.fracderiv import (
     complex_power,
     rl_deriv_constant,
     rl_deriv_monomial,
-    rl_deriv_series,
     rl_deriv_shifted_power,
     rl_deriv_via_quadrature,
     rl_integral_quadrature,
@@ -275,24 +274,3 @@ class TestConstantKernel:
         value = rl_deriv_constant(1.0, FracOrder(alpha), complex(x, 0.0))
         assert value.imag == 0.0
 
-
-class TestSeries:
-    def test_linear_series_matches_monomial(self):
-        value = rl_deriv_series([0.0, 1.0], 0.0, FracOrder(0.5), 1.0, 1)
-        expected = rl_deriv_monomial(1.0, FracOrder(0.5), 1 + 0j).real
-        assert value == pytest.approx(expected, rel=1e-14)
-        assert value == pytest.approx(2.0 / SQRT_PI, rel=1e-13)
-
-    def test_exponential_against_oracle(self):
-        # f = exp: all Taylor coefficients at 0 equal 1
-        value = rl_deriv_series([1.0] * 31, 0.0, FracOrder(0.5), 0.5, 30)
-        oracle = rl_deriv_via_quadrature(math.exp, 0.0, 0.5, 0.5, rel_tol=1e-12)
-        assert value == pytest.approx(oracle, abs=1e-6)
-
-    def test_zero_coefficients(self):
-        assert rl_deriv_series([0.0, 0.0, 0.0], 0.0, FracOrder(0.5), 2.0, 2) == 0.0
-
-    def test_truncation_respected(self):
-        full = rl_deriv_series([1.0, 1.0, 1.0], 0.0, FracOrder(0.5), 1.5, 2)
-        cut = rl_deriv_series([1.0, 1.0, 1.0], 0.0, FracOrder(0.5), 1.5, 1)
-        assert full != cut

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fracroots.errors import DomainError, EvaluationError, InsufficientDataError, NumericalFailureError
 from fracroots.fracderiv import FracOrder, complex_power, recip_gamma, rl_deriv_constant
 from fracroots.solver import (
+    DIVERGENCE_BOUND,
     FpnConfig,
     IterationTrace,
     RootRecord,
@@ -22,7 +23,6 @@ from fracroots.solver import (
     _advance,
     _norm,
     _snap,
-    beta_exponent,
     build_p_matrix,
     estimate_convergence_order,
     fpn_solve,
@@ -45,7 +45,16 @@ class TestFpnConfig:
         assert cfg.tol_residual == 1e-6
         assert cfg.max_iter == 500
         assert cfg.round_exponent_m == 5
-        assert cfg.divergence_bound == 1e10
+
+    def test_fields(self):
+        # the divergence bound is a module constant, not a knob
+        names = [f.name for f in dataclasses.fields(FpnConfig)]
+        assert names == [
+            "alpha", "epsilon", "tol_step", "tol_residual", "max_iter", "round_exponent_m"
+        ]
+        assert DIVERGENCE_BOUND == 1e10
+        with pytest.raises(TypeError):
+            FpnConfig(alpha=0.5, divergence_bound=1e3)
 
     @pytest.mark.parametrize("alpha", [1.0, -2.0, 0.0, 2.0, 2.5, 1.0 + 3e-10])
     def test_alpha_validation(self, alpha):
@@ -63,7 +72,7 @@ class TestFpnConfig:
             {"tol_residual": -1.0},
             {"max_iter": 0},
             {"round_exponent_m": 0},
-            {"divergence_bound": 0.0},
+            {"tol_residual": math.nan},
             {"epsilon": math.inf},
             {"epsilon": math.nan},
             {"tol_step": math.inf},
@@ -77,17 +86,25 @@ class TestFpnConfig:
 
 
 class TestBetaExponent:
+    """P's exponent beta is alpha away from the origin and 1 at it, where the
+    entry z^(-1)/Gamma(0) + epsilon is exactly epsilon.  The zero test is
+    exact: sqrt(z conj(z)) > 0."""
+
     def test_nonzero_point_keeps_alpha(self):
-        assert beta_exponent(0.5, 3 + 4j) == 0.5
+        diag = build_p_matrix(vec(3 + 4j), FpnConfig(alpha=0.5, epsilon=1e-3))
+        assert diag[0] == recip_gamma(0.5) * complex_power(3 + 4j, -0.5) + 1e-3
 
     def test_zero_point_switches_to_one(self):
-        assert beta_exponent(0.5, 0 + 0j) == 1.0
+        diag = build_p_matrix(vec(0 + 0j), FpnConfig(alpha=0.5, epsilon=1e-3))
+        assert diag[0] == 1e-3 + 0j
 
     def test_tiny_but_nonzero_keeps_alpha(self):
-        assert beta_exponent(-1.1, 1e-300 + 0j) == -1.1
+        diag = build_p_matrix(vec(1e-300 + 0j), FpnConfig(alpha=0.5, epsilon=1e-3))
+        assert diag[0] == recip_gamma(0.5) * 1e150 + 1e-3
 
     def test_signed_zero_is_zero(self):
-        assert beta_exponent(0.5, complex(-0.0, 0.0)) == 1.0
+        diag = build_p_matrix(vec(complex(-0.0, 0.0)), FpnConfig(alpha=0.5, epsilon=1e-3))
+        assert _bits(diag) == _bits([1e-3])
 
 
 class TestBuildPMatrix:
@@ -108,8 +125,9 @@ class TestBuildPMatrix:
     def test_matches_constant_kernel(self):
         cfg = FpnConfig(alpha=-1.3, epsilon=1e-3)
         diag = build_p_matrix(vec(2.5 + 1j), cfg)
+        # _p_entries writes out rl_deriv_constant's formula, and keeps its bits
         expected = complex(rl_deriv_constant(1.0, FracOrder(-1.3), 2.5 + 1j)) + 1e-3
-        assert diag[0] == pytest.approx(expected, rel=1e-14)
+        assert diag[0] == expected
 
     def test_overflowing_entry_fails(self):
         with pytest.raises(NumericalFailureError):
@@ -384,7 +402,7 @@ def _ref_p_matrix(x, config):
     entries = np.empty(x.shape[0], dtype=np.complex128)
     for k in range(x.shape[0]):
         zk = complex(x[k])
-        if beta_exponent(config.alpha, zk) == 1.0:
+        if zk == 0:
             entries[k] = config.epsilon
         else:
             try:
@@ -444,7 +462,7 @@ def _ref_solve(f, x0, config):
             return finish(SolveStatus.NumericalFailure, y, i)
         if step <= config.tol_step and res <= config.tol_residual:
             return finish(SolveStatus.Converged, y, i)
-        if _ref_norm(y) > config.divergence_bound:
+        if _ref_norm(y) > 1e10:
             return finish(SolveStatus.Diverged, y, i)
         x = y
         fx = fy

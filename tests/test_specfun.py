@@ -13,7 +13,6 @@ from fracroots.specfun import (
     beta,
     binomial,
     gamma_real,
-    incomplete_beta,
     incomplete_beta_regularized,
     log_gamma_complex,
 )
@@ -127,10 +126,12 @@ class TestBeta:
 
 
 class TestIncompleteBeta:
+    """The regularized incomplete beta I_r(p, q) = B_r(p, q) / B(p, q)."""
+
     def test_edge_values(self):
-        assert incomplete_beta(0.0, 3.2, 0.7) == 0.0
-        assert abs(incomplete_beta(1.0, 2.0, 3.0) - 1.0 / 12.0) < 1e-16
-        assert abs(incomplete_beta(0.5, 1.0, 1.0) - 0.5) < 1e-15
+        assert incomplete_beta_regularized(0.0, 3.2, 0.7) == 0.0
+        assert incomplete_beta_regularized(1.0, 2.0, 3.0) == 1.0
+        assert abs(incomplete_beta_regularized(0.5, 1.0, 1.0) - 0.5) < 1e-15
 
     def test_against_quadrature(self):
         rng = random.Random(7)
@@ -138,14 +139,18 @@ class TestIncompleteBeta:
             p = rng.uniform(0.2, 6.0)
             q = rng.uniform(0.2, 6.0)
             r = rng.uniform(0.01, 0.99)
+            # quad's default tolerance of 1.5e-8 would exceed 1e-10 once divided by B(p, q)
             ref, _ = quad(
-                lambda t: t ** (p - 1) * (1 - t) ** (q - 1), 0, r, limit=200
+                lambda t: t ** (p - 1) * (1 - t) ** (q - 1), 0, r, epsabs=0.0, epsrel=1e-12,
+                limit=200,
             )
-            assert abs(incomplete_beta(r, p, q) - ref) <= 1e-10
+            assert abs(incomplete_beta_regularized(r, p, q) - ref / beta(p, q)) <= 1e-10
 
     def test_matches_full_beta_at_one(self):
+        # B_1(p, q) = B(p, q): exactly 1 at r = 1, and continuous up to it
         for p, q in [(0.4, 3.0), (2.2, 1.1), (5.0, 5.0)]:
-            assert abs(incomplete_beta(1.0, p, q) - beta(p, q)) <= 1e-10
+            assert incomplete_beta_regularized(1.0, p, q) == 1.0
+            assert abs(incomplete_beta_regularized(1.0 - 1e-12, p, q) - 1.0) <= 1e-10
 
     @settings(max_examples=60)
     @given(
@@ -156,17 +161,21 @@ class TestIncompleteBeta:
     )
     def test_monotone_in_r(self, r1, r2, p, q):
         lo, hi = sorted((r1, r2))
-        assert incomplete_beta(lo, p, q) <= incomplete_beta(hi, p, q) + 1e-14
+        regularized = incomplete_beta_regularized
+        assert regularized(lo, p, q) <= regularized(hi, p, q) + 1e-14
 
     def test_regularized_range(self):
-        assert incomplete_beta_regularized(0.3, 2.0, 5.0) == pytest.approx(
-            incomplete_beta(0.3, 2.0, 5.0) / beta(2.0, 5.0), rel=1e-13
-        )
+        # values in [0, 1], and I_r(p, q) + I_(1-r)(q, p) = 1
+        for r, p, q in [(0.3, 2.0, 5.0), (0.05, 0.4, 3.0), (0.9, 7.5, 0.3)]:
+            value = incomplete_beta_regularized(r, p, q)
+            mirror = incomplete_beta_regularized(1.0 - r, q, p)
+            assert 0.0 <= value <= 1.0
+            assert value + mirror == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("args", [(-0.1, 1, 1), (1.1, 1, 1), (0.5, 0, 1), (0.5, 1, -2)])
     def test_domain(self, args):
         with pytest.raises(DomainError):
-            incomplete_beta(*args)
+            incomplete_beta_regularized(*args)
 
 
 class TestBinomial:

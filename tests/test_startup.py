@@ -1,8 +1,11 @@
 """Start-up cost: importing fracroots loads no scipy module, and the special
-functions that need scipy import it on their first call with unchanged values."""
+functions that need scipy import it on their first call with unchanged values.
+The public surface: every exported name is defined."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +47,18 @@ def test_import_loads_no_scipy_and_first_calls_match():
     # the tolerance of TestIntegralQuadrature.test_half_order_of_t
     expected = rl_integral_quadrature(lambda t: t, 0.0, 1.0, 0.5, rel_tol=1e-10)
     assert q == pytest.approx(expected, rel=1e-10)
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(fracroots.__path__))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_exports_are_defined(name):
+    module = importlib.import_module(f"fracroots.{name}")
+    missing = [n for n in getattr(module, "__all__", []) if n not in vars(module)]
+    assert missing == []
+
+
+def test_package_exports_resolve_once():
+    assert len(fracroots.__all__) == len(set(fracroots.__all__))
+    assert [n for n in fracroots.__all__ if not hasattr(fracroots, n)] == []

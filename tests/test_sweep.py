@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fracroots import cli, solver, targets
 from fracroots.errors import DomainError, EvaluationError
 from fracroots.solver import FpnConfig, SolveStatus, fpn_solve
-from fracroots.sweep import AlphaGrid, run_sweep, stability_probe
+from fracroots.sweep import INTEGER_EXCLUSION, AlphaGrid, run_sweep, stability_probe
 from fracroots.targets import TargetFunction, make_target, polynomial, zeta_functional_target
 
 
@@ -51,7 +51,7 @@ class TestAlphaGrid:
             {"lo": 0.5, "hi": 0.4, "step": 0.1},
             {"lo": 0.0, "hi": 2.5, "step": 0.1},
             {"lo": 0.1, "hi": 0.5, "step": 0.0},
-            {"lo": 0.1, "hi": 0.5, "step": 0.1, "integer_exclusion": 0.0},
+            {"lo": 0.1, "hi": 0.5, "step": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -63,23 +63,27 @@ class TestAlphaGrid:
         st.floats(min_value=-2.0, max_value=1.0),
         st.floats(min_value=0.01, max_value=4.0),
         st.floats(min_value=0.001, max_value=4.0),
-        st.sampled_from([1e-9, 1e-6, 0.01]),
     )
-    # _count's margin of 1e-9 of a step reaches 2.00000000175 here, past a
-    # 1e-9 exclusion band around 2
-    @example(-1.5, 3.5, 3.5 * (1 + 5e-10), 1e-9)
-    def test_emitted_values_respect_exclusion(self, lo, width, step, exclusion):
+    # _count's margin of 1e-9 of a step reaches 2.00000000175 here, inside
+    # the exclusion band around 2
+    @example(-1.5, 3.5, 3.5 * (1 + 5e-10))
+    def test_emitted_values_respect_exclusion(self, lo, width, step):
         hi = min(lo + width, 2.0)
         if not lo < hi:
             return
         try:
-            grid = AlphaGrid(lo=lo, hi=hi, step=step, integer_exclusion=exclusion)
+            grid = AlphaGrid(lo=lo, hi=hi, step=step)
         except DomainError:
             return
         for v in grid.values():
-            assert abs(v - round(v)) >= exclusion
+            assert abs(v - round(v)) >= 0.01
             assert lo <= v <= min(hi + 2e-9 * step, 2.0)
             FpnConfig(alpha=v)
+
+    def test_fields(self):
+        # the integer exclusion band is a module constant, not a knob
+        assert [f.name for f in dataclasses.fields(AlphaGrid)] == ["lo", "hi", "step"]
+        assert INTEGER_EXCLUSION == 0.01
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +190,18 @@ class TestStabilityProbe:
         t = zeta_functional_target(k=30)
         probes = stability_probe(t, np.array([-2 + 0j]), [0.0])
         assert probes[0][1] == 0.0
+
+    @pytest.mark.parametrize(
+        ("name", "xi", "message"),
+        [
+            ("example3", [1 + 0j], "dimension 1, target needs 2"),
+            ("ci", [1 + 0j, 2 + 0j], "dimension 2, target needs 1"),
+            ("poly", [complex(math.nan, 0.0)], "must be finite"),
+        ],
+    )
+    def test_point_checked_against_target(self, name, xi, message):
+        with pytest.raises(DomainError, match=message):
+            stability_probe(make_target(name, k=50, coeffs="1,-1"), np.array(xi), [0.0])
 
 
 def _float_bits(x: float):
