@@ -59,7 +59,6 @@ _MANIFEST_KEYS = (
     "format",
     "xi",
     "delta",
-    "suite",
     "trace",
 ) + _CONFIG_KEYS
 _TRACE_TEXT = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -98,7 +97,10 @@ def format_complex(z: complex) -> str:
 
 
 def load_manifest(path: str | Path) -> dict[str, str]:
-    """Flat key=value manifest; keys match the CLI flag names."""
+    """Flat key=value manifest.  Each line is the flag --key=value (an
+    underscore in the key written as a dash; trace= text is --trace or
+    nothing), so a value is checked as that flag is, and a key the command
+    does not take is a usage error."""
     entries: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -244,15 +246,6 @@ def _emit(args, table: Callable[[TextIO], None], records: Sequence[RootRecord]) 
 
 # --- argument plumbing -------------------------------------------------------
 
-def _format_arg(text: str) -> str:
-    # a type rather than choices: argparse checks choices only on flags,
-    # never on a default, and manifest values arrive as defaults
-    if text not in _FORMATS:
-        choices = ", ".join(map(repr, _FORMATS))
-        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
-    return text
-
-
 def _add_target_args(p: argparse.ArgumentParser, target_help: str) -> None:
     p.add_argument("--target", help=target_help)
     p.add_argument("--k", type=int, default=50, help="series truncation (default %(default)s)")
@@ -273,11 +266,7 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, type=kind, default=default, help=f"{text} (default %(default)s)")
     p.add_argument("--output", help="write results to this path instead of stdout")
     p.add_argument(
-        "--format",
-        type=_format_arg,
-        default="table",
-        metavar="{%s}" % ",".join(_FORMATS),
-        help="output format (default %(default)s)",
+        "--format", choices=_FORMATS, default="table", help="output format (default %(default)s)"
     )
 
 
@@ -304,12 +293,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _require(args, "target", "x0", "alpha")
     target = make_target(args.target, k=args.k, coeffs=args.coeffs)
     x0 = parse_complex_vector(args.x0)
-    # --trace gives True, a manifest gives text
-    text = str(args.trace).lower()
-    if text not in _TRACE_TEXT:
-        choices = ", ".join(_TRACE_TEXT)
-        raise DomainError(f"trace must be one of {choices} in any case, got {args.trace!r}")
-    trace = IterationTrace() if _TRACE_TEXT[text] else None
+    trace = IterationTrace() if args.trace else None
     config = _build_config(args, args.alpha)
     record = _solve(target, x0, config, [config.alpha], trace)[0]
 
@@ -363,8 +347,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and the subcommand parsers by name."""
+@functools.cache
+def _build_parser() -> _Parser:
+    # parsing leaves a parser unchanged, so the calls of a process share one
     parser = _Parser(prog="fracroots", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -394,25 +379,32 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_val.add_argument("--suite", help=f"run one suite, one of: {', '.join(SUITES)}")
     p_val.set_defaults(func=cmd_validate)
 
-    return parser, sub.choices
+    return parser
 
 
-@functools.cache
-def _shared_parser() -> _Parser:
-    # parsing leaves a parser unchanged, so the calls of a process share one
-    return _build_parser()[0]
+def _manifest_flags(path: str) -> list[str]:
+    flags = []
+    for key, value in load_manifest(path).items():
+        if key != "trace":
+            flags.append(f"--{key.replace('_', '-')}={value}")
+        elif value.lower() not in _TRACE_TEXT:
+            choices = ", ".join(_TRACE_TEXT)
+            raise DomainError(f"trace must be one of {choices} in any case, got {value!r}")
+        elif _TRACE_TEXT[value.lower()]:
+            flags.append("--trace")
+    return flags
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         if getattr(args, "manifest", None):
-            # manifest values become the defaults of a fresh parser, so they
-            # never reach a later call; argparse types and checks them like
-            # flags, and the flags given still win
-            parser, commands = _build_parser()
-            commands[args.command].set_defaults(**load_manifest(args.manifest))
-            args = parser.parse_args(argv)
+            # each manifest line is the flag --key=value, placed ahead of the
+            # given flags so those win; argparse checks it as that flag, and a
+            # key the command does not take is a usage error
+            command, *given = sys.argv[1:] if argv is None else argv
+            args = parser.parse_args([command, *_manifest_flags(args.manifest), *given])
         return args.func(args)
     except OSError as exc:
         sys.stderr.write(f"fracroots: i/o error: {exc}\n")

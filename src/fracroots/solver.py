@@ -223,15 +223,13 @@ def fpn_solve(
     return _solve(f, x0, config, [config.alpha], trace)[0], trace
 
 
-def _start(f: "TargetFunction", x0) -> np.ndarray:
-    # the initial condition, or a probe point, as a vector checked against the target
+def _start(f: "TargetFunction", x0, label: str) -> np.ndarray:
+    # x0 as a vector checked against the target; label names it in an error
     x = as_complex_vector(x0)
     if x.shape[0] != f.dimension:
-        raise DomainError(
-            f"initial condition has dimension {x.shape[0]}, target needs {f.dimension}"
-        )
+        raise DomainError(f"{label} has dimension {x.shape[0]}, target needs {f.dimension}")
     if not _all_finite(x.tolist()):
-        raise DomainError("initial condition must be finite")
+        raise DomainError(f"{label} must be finite")
     return x
 
 
@@ -316,7 +314,7 @@ def _solve(
     returned values.
     """
     assert trace is None or len(alphas) == 1, "a trace follows one order"
-    x = _start(f, x0)
+    x = _start(f, x0, "initial condition")
     zs0 = x.tolist()
     if trace is not None:
         trace.iterates.append(x.copy())

@@ -131,7 +131,7 @@ def stability_probe(
     f: TargetFunction, xi, deltas
 ) -> list[tuple[float, float]]:
     """Residual norms at xi shifted along the real axis by each delta."""
-    xiv = _start(f, xi)
+    xiv = _start(f, xi, "probe point")
     deltas = [float(d) for d in deltas]
     infinite = [d for d in deltas if not math.isfinite(d)]
     if infinite:

@@ -318,8 +318,8 @@ class TestSolveCommand:
 
 
 class TestParserReuse:
-    """The calls of one process share a parser; a manifest's defaults stay in
-    the call that read it."""
+    """The calls of one process share a parser, which parsing leaves unchanged;
+    a manifest's flags stay in the call that read it."""
 
     def test_manifest_does_not_leak_into_next_call(self, capsys, tmp_path):
         path = tmp_path / "m.manifest"
@@ -378,6 +378,70 @@ class TestArgumentChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --format: invalid choice: 'xml'" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, manifest, flag",
+        [
+            ("solve", "x0=3\nalpha=0.8\ncluster_tol=-1", "--cluster-tol=-1"),
+            ("solve", "x0=3\nalpha=0.8\ngrid=0.3:0.5:0.05", "--grid=0.3:0.5:0.05"),
+            ("sweep", "x0=3\ngrid=0.3:0.5:0.05\nalpha=zz", "--alpha=zz"),
+            ("sweep", "x0=3\ngrid=0.3:0.5:0.05\ntrace=yes", "--trace"),
+            ("stability", "xi=1\nalpha=0.5", "--alpha=0.5"),
+        ],
+    )
+    def test_manifest_key_the_command_does_not_take_exits_one(
+        self, capsys, tmp_path, command, manifest, flag
+    ):
+        # a manifest line is the flag of the same name, so a key the command
+        # does not take is an unrecognized argument, as the flag would be
+        path = tmp_path / "m.manifest"
+        path.write_text(f"target=poly\ncoeffs=1,0,-1\n{manifest}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", str(path)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"fracroots: error: unrecognized arguments: {flag}\n")
+
+    @pytest.mark.parametrize(
+        "manifest, flags, message",
+        [
+            ("alpha=0.8\nformat=xml", ["--format", "csv"], "argument --format: invalid choice: 'xml'"),
+            ("alpha=zz", ["--alpha", "0.8"], "argument --alpha: invalid float value: 'zz'"),
+        ],
+    )
+    def test_bad_manifest_value_under_a_flag_exits_one(
+        self, capsys, tmp_path, manifest, flags, message
+    ):
+        # as "--alpha zz --alpha 0.8" does: the flag wins, but the manifest
+        # value is still checked
+        path = tmp_path / "m.manifest"
+        path.write_text(f"target=poly\ncoeffs=1,0,-1\nx0=3\n{manifest}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--manifest", str(path), *flags])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_manifest_x0_with_leading_dash_matches_the_flag(self, capsys, tmp_path):
+        path = tmp_path / "m.manifest"
+        path.write_text("target=poly\ncoeffs=1,0,1\nalpha=0.5\nformat=csv\nx0=-i\n")
+        from_manifest = main(["solve", "--manifest", str(path)]), capsys.readouterr()
+        argv = ["solve", "--target", "poly", "--coeffs", "1,0,1", "--alpha", "0.5"]
+        from_flag = main([*argv, "--format", "csv", "--x0=-i"]), capsys.readouterr()
+        assert from_manifest == from_flag
+        assert from_flag[0] in (0, 2)
+        assert "\nalpha,status," in from_flag[1].out
+
+    def test_manifest_suite_key_is_unknown(self, capsys, tmp_path):
+        # validate takes no --manifest, so suite= could never apply
+        path = tmp_path / "m.manifest"
+        path.write_text("target=poly\ncoeffs=1,0,-1\nx0=3\nalpha=0.8\nsuite=all\n")
+        assert main(["solve", "--manifest", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown manifest key 'suite'" in captured.err
 
     @pytest.mark.parametrize(
         "command", [["solve", "--alpha", "0.5"], ["sweep", "--grid", "0.3:0.9:0.05"]]
@@ -588,8 +652,7 @@ class TestStabilityCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("fracroots: error: ")
-        assert "dimension" in captured.err
+        assert captured.err.startswith("fracroots: error: probe point has dimension ")
 
     def test_polynomial_probe(self, capsys):
         code = main(

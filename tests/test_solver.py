@@ -247,6 +247,14 @@ class TestFpnSolve:
         with pytest.raises(DomainError):
             fpn_solve(f, vec(1 + 0j, 2 + 0j), FpnConfig(alpha=0.5))
 
+    def test_start_errors_name_the_initial_condition(self):
+        # stability_probe shares the check and names its point a probe point
+        f = polynomial([1, -1])
+        with pytest.raises(DomainError, match="^initial condition has dimension 2, target needs 1$"):
+            fpn_solve(f, vec(1 + 0j, 2 + 0j), FpnConfig(alpha=0.5))
+        with pytest.raises(DomainError, match="^initial condition must be finite$"):
+            fpn_solve(f, vec(complex(math.inf, 0.0)), FpnConfig(alpha=0.5))
+
     def test_converged_record_invariant(self):
         f = polynomial([1, 0, -2, -5])  # x^3 - 2x - 5
         cfg = FpnConfig(alpha=0.9)

@@ -200,8 +200,9 @@ class TestStabilityProbe:
         ],
     )
     def test_point_checked_against_target(self, name, xi, message):
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DomainError, match=message) as exc:
             stability_probe(make_target(name, k=50, coeffs="1,-1"), np.array(xi), [0.0])
+        assert str(exc.value).startswith("probe point ")
 
 
 def _float_bits(x: float):
