@@ -100,7 +100,8 @@ def load_manifest(path: str | Path) -> dict[str, str]:
     """Flat key=value manifest.  Each line is the flag --key=value (an
     underscore in the key written as a dash; trace= text is --trace or
     nothing), so a value is checked as that flag is, and a key the command
-    does not take is a usage error."""
+    does not take is a usage error, and so is a repeated key, whose earlier
+    values would otherwise go unchecked."""
     entries: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -112,6 +113,8 @@ def load_manifest(path: str | Path) -> dict[str, str]:
         key = key.strip()
         if key not in _MANIFEST_KEYS:
             raise DomainError(f"unknown manifest key {key!r}")
+        if key in entries:
+            raise DomainError(f"manifest key {key!r} is repeated")
         entries[key] = value.strip()
     return entries
 

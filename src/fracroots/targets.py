@@ -11,6 +11,7 @@ import cmath
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,7 +66,25 @@ class TargetFunction:
 _FSUM_OF_NEGATIVE_ZERO = math.fsum([-0.0])
 
 
-def _column_fsums(terms: np.ndarray) -> list[float | None]:
+class _Scratch(threading.local):
+    """The float64 tables of one Ci/Si target's batch calls, kept between
+    calls.  Table i is a C-contiguous prefix of flat buffer i, which grows to
+    the largest request seen, so a warm call allocates no table and faults no
+    page in.  Table 0 holds the powers and then _column_fsums' working copy,
+    table 1 the terms, table 2 the error terms and table 3 the TwoSum sums.
+    Each thread has its own buffers, made on its first call, because numpy
+    releases the GIL inside ufuncs."""
+
+    def __init__(self) -> None:
+        self.flats = [np.empty(0)] * 4
+
+    def table(self, i: int, rows: int, cols: int) -> np.ndarray:
+        if self.flats[i].size < rows * cols:
+            self.flats[i] = np.empty(rows * cols)
+        return self.flats[i][: rows * cols].reshape(rows, cols)
+
+
+def _column_fsums(terms: np.ndarray, scratch: _Scratch | None = None) -> list[float | None]:
     """math.fsum of every column of the (k, R) float64 array terms, bit for
     bit, or None where it raises OverflowError.
 
@@ -82,20 +101,30 @@ def _column_fsums(terms: np.ndarray) -> list[float | None]:
     (a zero result of nonzero terms, a near-tie, a non-finite term, or terms
     large enough that fsum could overflow in between) go through math.fsum,
     which keeps its special values and ValueError.
+
+    The tables come from scratch (tables 0, 2 and 3, so terms may be its
+    table 1), or from a fresh one.
     """
-    k = terms.shape[0]
-    work = terms.copy()
-    errors = np.empty_like(terms[:-1])
+    if scratch is None:
+        scratch = _Scratch()
+    k, cols = terms.shape
+    work = scratch.table(0, k, cols)
+    np.copyto(work, terms)
+    errors = scratch.table(2, k - 1, cols)
+    pair_sums = scratch.table(3, k // 2, cols)
     with np.errstate(over="ignore", invalid="ignore"):
         n, used = k, 0
         while n > 1:
             half = n // 2
             a, b = work[:half], work[n - half : n]
-            s = a + b
-            b_virtual = s - a
-            err = errors[used : used + half]
-            np.subtract(a, s - b_virtual, out=err)
-            err += b - b_virtual
+            s = np.add(a, b, out=pair_sums[:half])
+            # err = (a - (s - b_virtual)) + (b - b_virtual) in place: b_virtual
+            # is err's first value, and b's rows are past those still read
+            err = b_virtual = np.subtract(s, a, out=errors[used : used + half])
+            np.subtract(b, b_virtual, out=b)
+            np.subtract(s, b_virtual, out=err)
+            np.subtract(a, err, out=err)
+            err += b
             work[:half] = s
             n -= half
             used += half
@@ -103,10 +132,10 @@ def _column_fsums(terms: np.ndarray) -> list[float | None]:
         r = s + e
         e_virtual = r - s
         rho = (s - (r - e_virtual)) + (e - e_virtual)
-        bound = np.abs(errors).sum(axis=0) * (2.0 * (k - 1) * 2.0**-53)
+        bound = np.abs(errors, out=errors).sum(axis=0) * (2.0 * (k - 1) * 2.0**-53)
         magnitude = np.abs(r)
         half_gap = (magnitude - np.nextafter(magnitude, 0.0)) * 0.5
-        absolute = np.abs(terms).sum(axis=0)
+        absolute = np.abs(terms, out=work).sum(axis=0)
         # below 2^1020 no partial sum of fsum's, in any order, overflows
         certified = (np.abs(rho) + bound < half_gap) & (absolute < 2.0**1020)
     zero = absolute == 0.0
@@ -124,7 +153,8 @@ def _column_fsums(terms: np.ndarray) -> list[float | None]:
 
 
 def _series_terms(
-    coeffs: np.ndarray, re: np.ndarray, im: np.ndarray, z2re: np.ndarray, z2im: np.ndarray
+    coeffs: np.ndarray, re: np.ndarray, im: np.ndarray, z2re: np.ndarray, z2im: np.ndarray,
+    scratch: _Scratch | None = None,
 ) -> np.ndarray:
     """The terms c_j * power_j of a batch of B points, power_0 = re + i im and
     power_j = power_{j-1} * z2, as a (len(coeffs), 2B) array: column b holds
@@ -133,18 +163,28 @@ def _series_terms(
     Split real arithmetic rounds every multiply and add on its own, as
     Python's complex product does, so each point's terms are bitwise the
     Python terms complex(c_j, 0.0) * power_j, infinities and NaNs included.
+    The array is table 1 of scratch (the powers take table 0), or of a fresh
+    one.
     """
-    power_re = np.empty((len(coeffs), len(re)))
-    power_im = np.empty_like(power_re)
+    if scratch is None:
+        scratch = _Scratch()
+    k, points = len(coeffs), len(re)
+    powers = scratch.table(0, k, 2 * points)
+    power_re, power_im = powers[:, :points], powers[:, points:]
     power_re[0], power_im[0] = re, im
-    for j in range(1, len(coeffs)):
+    for j in range(1, k):
         pr, pi = power_re[j - 1], power_im[j - 1]
         np.subtract(pr * z2re, pi * z2im, out=power_re[j])
         np.add(pr * z2im, pi * z2re, out=power_im[j])
     c = coeffs[:, None]
-    terms = np.empty((len(coeffs), 2 * len(re)))
-    np.subtract(c * power_re, 0.0 * power_im, out=terms[:, : len(re)])
-    np.add(c * power_im, 0.0 * power_re, out=terms[:, len(re) :])
+    terms = scratch.table(1, k, 2 * points)
+    terms_re, terms_im = terms[:, :points], terms[:, points:]
+    # c * pr - 0.0 * pi and c * pi + 0.0 * pr, the products by 0.0 written
+    # over the powers once c has used them
+    np.multiply(c, power_re, out=terms_re)
+    np.multiply(c, power_im, out=terms_im)
+    np.subtract(terms_re, np.multiply(0.0, power_im, out=power_im), out=terms_re)
+    np.add(terms_im, np.multiply(0.0, power_re, out=power_re), out=terms_im)
     return terms
 
 
@@ -175,6 +215,7 @@ def _series_target(name: str, k: int, odd: bool, head: float, log: bool) -> Targ
     reals = np.array([-mag if n // 2 % 2 else mag for n, mag in zip(exponents, mags)])
     # complex coefficients: complex x complex terms on every Python version
     first, *tail = [complex(c, 0.0) for c in reals.tolist()]
+    scratch = _Scratch()
 
     def evaluate(v: np.ndarray) -> np.ndarray:
         z = complex(v[0])
@@ -198,8 +239,8 @@ def _series_target(name: str, k: int, odd: bool, head: float, log: bool) -> Targ
             if not odd:
                 # the first power (1+0j) * z2
                 re, im = 1.0 * z2re - 0.0 * z2im, 1.0 * z2im + 0.0 * z2re
-            terms = _series_terms(reals, re, im, z2re, z2im)
-        sums = _column_fsums(terms)
+            terms = _series_terms(reals, re, im, z2re, z2im, scratch)
+        sums = _column_fsums(terms, scratch)
         return [
             None if re is None or im is None or (log and z == 0)
             else [(head - cmath.log(z) if log else head) - complex(re, im)]

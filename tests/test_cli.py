@@ -434,6 +434,17 @@ class TestArgumentChecks:
         assert from_flag[0] in (0, 2)
         assert "\nalpha,status," in from_flag[1].out
 
+    @pytest.mark.parametrize("values", [("zz", "0.8"), ("0.5", "0.8")], ids=["bad-first", "both-valid"])
+    def test_repeated_manifest_key_exits_one(self, capsys, tmp_path, values):
+        # a repeated key would hide its earlier values from the check, so it is
+        # a usage error whatever the values
+        path = tmp_path / "m.manifest"
+        path.write_text("target=poly\ncoeffs=1,0,-1\nx0=3\n" + "".join(f"alpha={v}\n" for v in values))
+        assert main(["solve", "--manifest", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fracroots: error: manifest key 'alpha' is repeated\n"
+
     def test_manifest_suite_key_is_unknown(self, capsys, tmp_path):
         # validate takes no --manifest, so suite= could never apply
         path = tmp_path / "m.manifest"

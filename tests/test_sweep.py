@@ -233,7 +233,7 @@ def _per_order(f, x0, grid, base):
 _ENGINE_CASES = {
     "ci": ("0.018", (-1.2, 1.2, 0.1)),
     # more orders than the block window, so the engine runs full Ci blocks
-    "ci-full": ("0.018", (-1.2, 1.2, 0.01)),
+    "ci-full": ("0.018", (-1.2, 1.2, 0.005)),
     "si": ("1.85", (-0.9, 1.5, 0.1)),
     "zeta-hasse": ("0.5+31.51i", (-1.2, 0.35, 0.05)),
     "example3": ("0.86,0.86", (0.65, 1.3, 0.02)),

@@ -1,7 +1,9 @@
 import cmath
+import concurrent.futures
 import functools
 import math
 import struct
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -224,6 +226,18 @@ _BATCH_PARTS = st.one_of(
 _BATCH_POINTS = st.builds(complex, _BATCH_PARTS, _BATCH_PARTS)
 
 
+def _mixed_block(rows, seed):
+    # a (rows, 1) block of points with overflowing powers, real points (whose
+    # imaginary terms are signed zeros) and special values
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-4, 4, rows) + 1j * rng.uniform(-4, 4, rows)
+    x[::5] *= 1e3
+    x[1::3] = x[1::3].real
+    specials = [0j, complex(-0.0, 0.0), complex(math.nan, 1.0), complex(math.inf, 0.0), 2 - 0j]
+    x[: len(specials)] = specials[:rows]
+    return x.reshape(rows, 1)
+
+
 @functools.cache
 def _registry_target(name):
     return make_target(name, k=50, coeffs="1,-2,0.5+1i")
@@ -273,25 +287,63 @@ class TestEvaluateBatch:
 
     @pytest.mark.parametrize("name", ["ci", "si"])
     def test_full_block_scratch_stays_in_budget(self, name):
-        # numpy reports its allocations to tracemalloc.  A full engine block
-        # of Ci or Si peaks at about 3.6 KiB a row (459 KiB at 128 rows), all
-        # of it per-row scratch; the budget is 4 KiB a row.
-        target = _registry_target(name)
+        # numpy reports its allocations to tracemalloc.  A target's first full
+        # engine block allocates the scratch it keeps (about 2.8 KiB a row);
+        # the budget is 4 KiB a row.  A warm call reuses it, so its high-water
+        # grows by about 0.4 KiB a row (the row lists and per-point vectors)
+        # over numpy's fixed iterator buffers; a call that allocates its
+        # tables grows by about 3.6 KiB a row.
         rows = solver._BLOCK_ROWS
-        x = (np.linspace(0.5, 30.0, rows) + 1j * np.linspace(-3.0, 3.0, rows)).reshape(rows, 1)
-        target.evaluate_batch(x)  # leave any one-time setup out of the peak
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            target.evaluate_batch(x)
-            high_water = tracemalloc.get_traced_memory()[1] - before
-        finally:
+
+        def high_water(target, n):
+            x = (np.linspace(0.5, 30.0, n) + 1j * np.linspace(-3.0, 3.0, n)).reshape(n, 1)
+            tracing = tracemalloc.is_tracing()
             if not tracing:
-                tracemalloc.stop()
-        assert high_water < rows * 4096
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                target.evaluate_batch(x)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        # leave the process's one-time setup out of the first call's peak
+        high_water(make_target(name, k=50), rows)
+        target = make_target(name, k=50)
+        assert high_water(target, rows) < rows * 4096
+        half = rows // 2
+        assert high_water(target, rows) - high_water(target, half) < (rows - half) * 1024
+
+    @pytest.mark.parametrize("name", ["ci", "si"])
+    def test_kept_scratch_serves_any_block_size(self, name):
+        # the scratch grows to the largest block and serves smaller ones from
+        # its prefix; every block comes out as on a fresh target
+        target = make_target(name, k=50)
+        for seed, rows in enumerate([solver._BLOCK_ROWS, 7, 2, solver._BLOCK_ROWS]):
+            x = _mixed_block(rows, seed)
+            expected = make_target(name, k=50).evaluate_batch(x)
+            assert list(map(_bits, target.evaluate_batch(x))) == list(map(_bits, expected))
+
+    @pytest.mark.parametrize("name", ["ci", "si"])
+    def test_threads_keep_their_own_scratch(self, name):
+        # numpy releases the GIL inside the table ufuncs, so two threads on one
+        # target run at once; each has its own scratch
+        target = make_target(name, k=50)
+        blocks = [_mixed_block(rows, seed) for seed, rows in enumerate([256, 100, 256, 33])]
+        expected = [list(map(_bits, make_target(name, k=50).evaluate_batch(x))) for x in blocks]
+        start = threading.Barrier(2)
+
+        def push(order):
+            start.wait()
+            return [(i, target.evaluate_batch(blocks[i])) for _ in range(10) for i in order]
+
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            results = [pool.submit(push, order) for order in ([0, 1, 2, 3], [3, 2, 0, 1])]
+            for result in results:
+                for i, values in result.result():
+                    assert list(map(_bits, values)) == expected[i]
 
     @pytest.mark.parametrize(
         "name, bad",
