@@ -84,7 +84,7 @@ class _Scratch(threading.local):
         return self.flats[i][: rows * cols].reshape(rows, cols)
 
 
-def _column_fsums(terms: np.ndarray, scratch: _Scratch | None = None) -> list[float | None]:
+def _column_fsums(terms: np.ndarray, scratch: _Scratch) -> list[float | None]:
     """math.fsum of every column of the (k, R) float64 array terms, bit for
     bit, or None where it raises OverflowError.
 
@@ -103,10 +103,8 @@ def _column_fsums(terms: np.ndarray, scratch: _Scratch | None = None) -> list[fl
     which keeps its special values and ValueError.
 
     The tables come from scratch (tables 0, 2 and 3, so terms may be its
-    table 1), or from a fresh one.
+    table 1).
     """
-    if scratch is None:
-        scratch = _Scratch()
     k, cols = terms.shape
     work = scratch.table(0, k, cols)
     np.copyto(work, terms)
@@ -154,7 +152,7 @@ def _column_fsums(terms: np.ndarray, scratch: _Scratch | None = None) -> list[fl
 
 def _series_terms(
     coeffs: np.ndarray, re: np.ndarray, im: np.ndarray, z2re: np.ndarray, z2im: np.ndarray,
-    scratch: _Scratch | None = None,
+    scratch: _Scratch,
 ) -> np.ndarray:
     """The terms c_j * power_j of a batch of B points, power_0 = re + i im and
     power_j = power_{j-1} * z2, as a (len(coeffs), 2B) array: column b holds
@@ -163,11 +161,8 @@ def _series_terms(
     Split real arithmetic rounds every multiply and add on its own, as
     Python's complex product does, so each point's terms are bitwise the
     Python terms complex(c_j, 0.0) * power_j, infinities and NaNs included.
-    The array is table 1 of scratch (the powers take table 0), or of a fresh
-    one.
+    The array is table 1 of scratch (the powers take table 0).
     """
-    if scratch is None:
-        scratch = _Scratch()
     k, points = len(coeffs), len(re)
     powers = scratch.table(0, k, 2 * points)
     power_re, power_im = powers[:, :points], powers[:, points:]

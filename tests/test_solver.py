@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracroots import solver
 from fracroots.errors import DomainError, EvaluationError, InsufficientDataError, NumericalFailureError
 from fracroots.fracderiv import FracOrder, complex_power, recip_gamma, rl_deriv_constant
 from fracroots.solver import (
@@ -508,14 +509,21 @@ def _p_overflow_trap():
     return TargetFunction("p-overflow", 2, lambda v: np.array([(v[0] - 1e-300) / p0, v[1] / 2]))
 
 
+_CI_FULL_GRID = AlphaGrid(-1.2, 1.2, 0.005)
+
+
 class TestMatchesReferenceLoop:
+    def test_full_ci_grid_fills_the_window(self):
+        assert len(_CI_FULL_GRID.values()) > solver._BLOCK_ROWS
+
     @pytest.mark.parametrize(
         "target,x0,grid,statuses",
         [
             (make_target("ci", k=50), vec(0.018), AlphaGrid(-1.2, 1.2, 0.05),
              {"Converged", "MaxIterations", "NumericalFailure"}),
-            # 238 orders, more than the engine's block: full blocks are checked
-            (make_target("ci", k=50), vec(0.018), AlphaGrid(-1.2, 1.2, 0.01),
+            # about 475 orders, more than the engine's block: full blocks are
+            # checked (test_full_ci_grid_fills_the_window keeps it so)
+            (make_target("ci", k=50), vec(0.018), _CI_FULL_GRID,
              {"Converged", "MaxIterations", "NumericalFailure"}),
             # f(x0) fails, so every record is a 0-iteration failure and every
             # trace holds x0 alone

@@ -18,6 +18,7 @@ from fracroots.errors import TARGET_FAILURES, DomainError, EvaluationError
 from fracroots.targets import (
     EULER_MASCHERONI,
     REGISTRY_NAMES,
+    _Scratch,
     _column_fsums,
     _hasse_weights,
     _power_pairs,
@@ -402,14 +403,14 @@ def _check_column_fsums(columns):
     for column in columns:
         table = np.array(column, dtype=np.float64).reshape(-1, 1)
         try:
-            got = _sum_bits(_column_fsums(table)[0])
+            got = _sum_bits(_column_fsums(table, _Scratch())[0])
         except ValueError as exc:
             got = ("raised", type(exc))
         assert got == _fsum_outcome(column), column
     outcomes = [_fsum_outcome(column) for column in columns]
     if len({len(column) for column in columns}) == 1 and ("raised", ValueError) not in outcomes:
         table = np.array(columns, dtype=np.float64).T
-        assert list(map(_sum_bits, _column_fsums(table))) == outcomes
+        assert list(map(_sum_bits, _column_fsums(table, _Scratch()))) == outcomes
 
 
 def _alternating_cancellation(rng, k):
@@ -487,7 +488,7 @@ class TestColumnFsums:
         coeffs = np.array([-mag if m % 2 else mag for m, mag in enumerate(mags)])
         x = np.linspace(10.0, 32.0, 400) + 1j * np.linspace(-0.5, 0.5, 400)
         z2re, z2im = (x * x).real, (x * x).imag
-        terms = _series_terms(coeffs, x.real, x.imag, z2re, z2im)
+        terms = _series_terms(coeffs, x.real, x.imag, z2re, z2im, _Scratch())
         _check_column_fsums(terms.T.tolist())
 
     @settings(max_examples=200, deadline=None)
