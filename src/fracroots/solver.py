@@ -192,14 +192,23 @@ def round_iterate(x, m: int) -> np.ndarray:
 
 def _advance(
     zs: list[complex], ps: list[complex], fs: list[complex], threshold: float
-) -> list[complex]:
-    # Rnd_m(x - P f(x)) on components; NumericalFailureError on a non-finite
-    # iterate.  Python rounds each real multiply and add of p * w on its own,
-    # so split real numpy arithmetic on a (B, n) batch gives the same bits.
-    ys = [z - p * w for z, p, w in zip(zs, ps, fs, strict=True)]
-    if not _all_finite(ys):
-        raise NumericalFailureError("iterate contains non-finite components")
-    return _snap(ys, threshold)
+) -> tuple[list[complex], float]:
+    # y = Rnd_m(x - P f(x)) and the step norm _norm(y - x), in one pass over
+    # the components; NumericalFailureError on a non-finite iterate.  Python
+    # rounds each real multiply and add of p * w on its own, so split real
+    # numpy arithmetic on a (B, n) batch gives the same bits.
+    ys = []
+    s = 0.0
+    for z, p, w in zip(zs, ps, fs, strict=True):
+        y = z - p * w
+        if not cmath.isfinite(y):
+            raise NumericalFailureError("iterate contains non-finite components")
+        if abs(y.imag) <= threshold:  # _snap
+            y = complex(y.real, 0.0)
+        ys.append(y)
+        d = y - z
+        s += d.real * d.real + d.imag * d.imag
+    return ys, math.sqrt(s)
 
 
 def fpn_step(x, f: "TargetFunction", config: FpnConfig) -> np.ndarray:
@@ -207,7 +216,7 @@ def fpn_step(x, f: "TargetFunction", config: FpnConfig) -> np.ndarray:
     xv = as_complex_vector(x)
     fs = as_complex_vector(f.evaluate(xv)).tolist()
     ps = build_p_matrix(xv, config).tolist()
-    ys = _advance(xv.tolist(), ps, fs, 10.0 ** (-config.round_exponent_m))
+    ys, _ = _advance(xv.tolist(), ps, fs, 10.0 ** (-config.round_exponent_m))
     return np.array(ys, dtype=np.complex128)
 
 
@@ -343,11 +352,12 @@ def _solve(
                 run.iterations += 1
                 zs = run.zs
                 try:
-                    ys = _advance(zs, _p_entries(zs, run.alpha, run.rg, epsilon), run.fs, threshold)
+                    ys, run.step = _advance(
+                        zs, _p_entries(zs, run.alpha, run.rg, epsilon), run.fs, threshold
+                    )
                 except NumericalFailureError:
                     records[run.index] = run.record(SolveStatus.NumericalFailure)
                     continue
-                run.step = _norm([a - b for a, b in zip(ys, zs)])
                 run.zs = ys
                 moved.append(run)
                 rows.append(ys)

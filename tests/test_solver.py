@@ -674,7 +674,8 @@ class TestBookkeepingProperties:
     def test_update_is_reproduced_by_batched_numpy(self, batch, m):
         # the contract a (B, n) engine relies on for x - P f(x): split real
         # arithmetic over the whole batch, then Rnd_m, gives each row's
-        # _advance bit for bit, and a non-finite row fails as _advance does
+        # _advance iterate bit for bit, its step is _norm of the rounded row
+        # minus z, and a non-finite row fails as _advance does
         z, p, f = (np.array(rows, dtype=np.complex128) for rows in batch)
         threshold = 10.0 ** (-m)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -684,8 +685,11 @@ class TestBookkeepingProperties:
                 with pytest.raises(NumericalFailureError):
                     _advance(*(rows[k] for rows in batch), threshold)
             else:
-                got = _advance(*(rows[k] for rows in batch), threshold)
-                assert _bits(got) == _bits(_snap(row, threshold))
+                got, step = _advance(*(rows[k] for rows in batch), threshold)
+                rounded = _snap(row, threshold)
+                assert _bits(got) == _bits(rounded)
+                zs = batch[0][k]
+                assert _bits([step]) == _bits([_norm([y - x for y, x in zip(rounded, zs)])])
 
     @settings(max_examples=200)
     @given(_EDGE_VECTORS, st.integers(min_value=1, max_value=12))
