@@ -152,10 +152,10 @@ def _norm(zs: list[complex]) -> float:
 
 def _p_entries(zs: list[complex], alpha: float, rg: float, epsilon: float) -> list[complex]:
     # build_p_matrix on components zs, with rg = 1/Gamma(1 - alpha): the
-    # rl_deriv_constant formula written out, as a call per entry would cost
-    # ex3 sweeps ~3%.  Every entry is complex, so the update multiplies complex
-    # by complex also on Pythons that multiply a float into a complex
-    # componentwise (3.14)
+    # rl_deriv_constant formula written out.  Every entry is complex, so the
+    # update multiplies complex by complex also on Pythons that multiply a
+    # float into a complex componentwise (3.14).  _step forms the same
+    # entries inline, and a test holds the two to the same bits
     entries = []
     for k, z in enumerate(zs):
         if z == 0:  # beta is 1 here, and 1/Gamma(0) = 0 leaves epsilon
@@ -190,16 +190,35 @@ def round_iterate(x, m: int) -> np.ndarray:
     return np.array(_snap(as_complex_vector(x).tolist(), 10.0 ** (-m)), dtype=np.complex128)
 
 
-def _advance(
-    zs: list[complex], ps: list[complex], fs: list[complex], threshold: float
-) -> tuple[list[complex], float]:
-    # y = Rnd_m(x - P f(x)) and the step norm _norm(y - x), in one pass over
-    # the components; NumericalFailureError on a non-finite iterate.  Python
-    # rounds each real multiply and add of p * w on its own, so split real
-    # numpy arithmetic on a (B, n) batch gives the same bits.
+def _step(
+    zs: list[complex], fs: list[complex], mw: complex, rg: float, epsilon: float,
+    threshold: float,
+) -> tuple[list[complex], float, float]:
+    # One update in one pass over the components: y = Rnd_m(x - P f(x)) for
+    # x = zs and f(x) = fs, its step norm _norm(y - x) and its norm _norm(y).
+    # mw = complex(-alpha) and rg = 1/Gamma(1 - alpha); each P entry is
+    # _p_entries' with complex_power's branches written out, and
+    # NumericalFailureError is raised where an entry overflows or a component
+    # of y is not finite.  An entry that is not finite needs no check of its
+    # own: each of its parts multiplies both parts of w, so its y is not
+    # finite either.  Python rounds each real multiply and add of p * w on
+    # its own, so split real numpy arithmetic on a (B, n) batch gives the
+    # same bits.
     ys = []
-    s = 0.0
-    for z, p, w in zip(zs, ps, fs, strict=True):
+    step = size = 0.0
+    for z, w in zip(zs, fs, strict=True):
+        if z == 0:  # beta is 1 here, and 1/Gamma(0) = 0 leaves epsilon
+            p = complex(epsilon)
+        else:
+            try:
+                if z.imag == 0.0 and z.real > 0.0:
+                    p = rg * complex(z.real ** mw.real, 0.0) + epsilon
+                else:
+                    p = rg * cmath.exp(mw * cmath.log(z)) + epsilon
+            except OverflowError as exc:
+                raise NumericalFailureError(
+                    f"P-matrix entry overflowed at component {len(ys)}"
+                ) from exc
         y = z - p * w
         if not cmath.isfinite(y):
             raise NumericalFailureError("iterate contains non-finite components")
@@ -207,16 +226,20 @@ def _advance(
             y = complex(y.real, 0.0)
         ys.append(y)
         d = y - z
-        s += d.real * d.real + d.imag * d.imag
-    return ys, math.sqrt(s)
+        step += d.real * d.real + d.imag * d.imag
+        size += y.real * y.real + y.imag * y.imag
+    return ys, math.sqrt(step), math.sqrt(size)
 
 
 def fpn_step(x, f: "TargetFunction", config: FpnConfig) -> np.ndarray:
     """One update Rnd_m(x - P(x) f(x)).  Evaluation errors propagate."""
     xv = as_complex_vector(x)
     fs = as_complex_vector(f.evaluate(xv)).tolist()
-    ps = build_p_matrix(xv, config).tolist()
-    ys, _ = _advance(xv.tolist(), ps, fs, 10.0 ** (-config.round_exponent_m))
+    alpha = config.alpha
+    ys, _, _ = _step(
+        xv.tolist(), fs, complex(-alpha), recip_gamma(1.0 - alpha), config.epsilon,
+        10.0 ** (-config.round_exponent_m),
+    )
     return np.array(ys, dtype=np.complex128)
 
 
@@ -244,15 +267,16 @@ def _start(f: "TargetFunction", x0, label: str) -> np.ndarray:
 
 
 def _verdict(
-    step: float, res: float, zs: list[complex], config: FpnConfig, i: int
+    step: float, res: float, size: float, config: FpnConfig, i: int
 ) -> SolveStatus | None:
-    """How a run ends after iteration i with these norms and iterate zs, or
+    """How a run ends after iteration i with step norm step, residual norm
+    res and iterate norm size (_step's, which is _norm of the iterate), or
     None if it goes on."""
     if not math.isfinite(res):
         return SolveStatus.NumericalFailure
     if step <= config.tol_step and res <= config.tol_residual:
         return SolveStatus.Converged
-    if _norm(zs) > DIVERGENCE_BOUND:
+    if size > DIVERGENCE_BOUND:
         return SolveStatus.Diverged
     if i >= config.max_iter:
         return SolveStatus.MaxIterations
@@ -270,15 +294,17 @@ def _evaluate_one(f: "TargetFunction", zs: list[complex]) -> list[complex] | Non
 class _Run:
     """One order's state in the engine: its iterate, f there, last norms and iteration count."""
 
-    __slots__ = ("index", "alpha", "rg", "zs", "fs", "step", "res", "iterations")
+    __slots__ = ("index", "alpha", "mw", "rg", "zs", "fs", "step", "size", "res", "iterations")
 
     def __init__(self, index: int, alpha: float, zs: list[complex], fs: list[complex] | None):
         self.index = index
         self.alpha = alpha
+        self.mw = complex(-alpha)
         self.rg = recip_gamma(1.0 - alpha)
         self.zs = zs
         self.fs = fs
         self.step = math.inf
+        self.size = math.inf
         self.res = math.inf
         self.iterations = 0
 
@@ -315,9 +341,11 @@ def _solve(
     config with that order from the same x0.  fpn_solve and `fracroots solve`
     pass one order, run_sweep a grid's.
 
-    Up to _BLOCK_ROWS runs advance in lockstep: each step does every live
-    run's Python update, evaluates the target at all the new iterates in one
-    _evaluate_rows call, and replaces the runs that ended by the next orders.
+    Up to _BLOCK_ROWS runs advance in lockstep: each step makes every live
+    run's update in one _step pass over its components (P entries, x - P f(x),
+    finiteness checks, Rnd_m, step and iterate norms), evaluates the target at
+    all the new iterates in one _evaluate_rows call, takes each residual norm,
+    and replaces the runs that ended by the next orders.
     No record depends on the runs beside it, so each is the one-order call's,
     whose blocks are single rows through evaluate.  A trace, given with one
     order, gets x0 and then the iterate and norms of each evaluation that
@@ -350,10 +378,9 @@ def _solve(
             rows = []
             for run in runs:
                 run.iterations += 1
-                zs = run.zs
                 try:
-                    ys, run.step = _advance(
-                        zs, _p_entries(zs, run.alpha, run.rg, epsilon), run.fs, threshold
+                    ys, run.step, run.size = _step(
+                        run.zs, run.fs, run.mw, run.rg, epsilon, threshold
                     )
                 except NumericalFailureError:
                     records[run.index] = run.record(SolveStatus.NumericalFailure)
@@ -372,7 +399,7 @@ def _solve(
                         trace.iterates.append(np.array(run.zs, dtype=np.complex128))
                         trace.step_norms.append(run.step)
                         trace.residual_norms.append(run.res)
-                status = _verdict(run.step, run.res, run.zs, config, run.iterations)
+                status = _verdict(run.step, run.res, run.size, config, run.iterations)
                 if status is None:
                     runs.append(run)
                 else:

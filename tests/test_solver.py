@@ -6,6 +6,7 @@ import struct
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,16 +15,23 @@ from hypothesis import strategies as st
 
 from fracroots import solver
 from fracroots.errors import DomainError, EvaluationError, InsufficientDataError, NumericalFailureError
-from fracroots.fracderiv import FracOrder, complex_power, recip_gamma, rl_deriv_constant
+from fracroots.fracderiv import (
+    INTEGER_GUARD,
+    FracOrder,
+    complex_power,
+    recip_gamma,
+    rl_deriv_constant,
+)
 from fracroots.solver import (
     DIVERGENCE_BOUND,
     FpnConfig,
     IterationTrace,
     RootRecord,
     SolveStatus,
-    _advance,
     _norm,
+    _p_entries,
     _snap,
+    _step,
     build_p_matrix,
     estimate_convergence_order,
     fpn_solve,
@@ -131,8 +139,11 @@ class TestBuildPMatrix:
         assert diag[0] == expected
 
     def test_overflowing_entry_fails(self):
+        # in build_p_matrix and in the update kernel fpn_step runs
         with pytest.raises(NumericalFailureError):
             build_p_matrix(vec(1e-300 + 0j), FpnConfig(alpha=1.9))
+        with pytest.raises(NumericalFailureError):
+            fpn_step(vec(1e-300 + 0j), polynomial([1, -1]), FpnConfig(alpha=1.9))
 
     @settings(max_examples=50)
     @given(st.floats(min_value=1e-3, max_value=1e4))
@@ -608,10 +619,13 @@ def _complex_rows(shape):
     return st.lists(row, min_size=rows, max_size=rows)
 
 
-# (z, p, f) batches of one (B, n) shape
+# (z, f) batches of one (B, n) shape
 _UPDATE_BATCHES = st.tuples(st.integers(1, 8), st.integers(1, 4)).flatmap(
-    lambda shape: st.tuples(*[_complex_rows(shape)] * 3)
+    lambda shape: st.tuples(*[_complex_rows(shape)] * 2)
 )
+# orders FpnConfig accepts, and epsilons with 0, where P is 0 at the origin
+_ORDERS = st.floats(-2.0, 2.0).filter(lambda a: abs(a - round(a)) >= INTEGER_GUARD)
+_EPSILONS = st.one_of(st.sampled_from([0.0, 1e-3]), st.floats(0.0, 10.0))
 
 # An exact sum of squares at most this far beyond or short of the largest
 # float may round either way: the float sum of 2-8 terms >= 0 is within a
@@ -670,29 +684,112 @@ class TestBookkeepingProperties:
         assert _bits(batched) == _bits([_norm(row) for row in rows])
 
     @settings(max_examples=200)
-    @given(_UPDATE_BATCHES, st.integers(min_value=1, max_value=12))
-    def test_update_is_reproduced_by_batched_numpy(self, batch, m):
-        # the contract a (B, n) engine relies on for x - P f(x): split real
-        # arithmetic over the whole batch, then Rnd_m, gives each row's
-        # _advance iterate bit for bit, its step is _norm of the rounded row
-        # minus z, and a non-finite row fails as _advance does
-        z, p, f = (np.array(rows, dtype=np.complex128) for rows in batch)
+    @given(_UPDATE_BATCHES, _ORDERS, _EPSILONS, st.integers(min_value=1, max_value=12))
+    @example(([[1e-300 + 0j]], [[1 + 0j]]), 1.9, 1e-3, 5)  # the P entry overflows
+    def test_update_is_reproduced_by_batched_numpy(self, batch, alpha, epsilon, m):
+        # the contract a (B, n) engine relies on for x - P f(x): P rows from
+        # _p_entries, split real arithmetic over the whole batch, then Rnd_m,
+        # give each row's _step iterate bit for bit; its step is _norm of the
+        # rounded row minus z and its size _norm of the rounded row; and a row
+        # whose P entry overflows or is not finite, or whose update is not
+        # finite, fails as _step does
+        rg = recip_gamma(1.0 - alpha)
         threshold = 10.0 ** (-m)
+        p_rows = []
+        for zs in batch[0]:
+            try:
+                p_rows.append(_p_entries(zs, alpha, rg, epsilon))
+            except NumericalFailureError:
+                p_rows.append(None)
+        # a failed P row is 0 here; its update is not compared
+        p = np.array([ps or [0j] * len(zs) for ps, zs in zip(p_rows, batch[0])])
+        z, f = (np.array(rows, dtype=np.complex128) for rows in batch)
         with np.errstate(over="ignore", invalid="ignore"):
             batched = _split_update(z, p, f)
-        for k, row in enumerate(batched.tolist()):
-            if not all(map(cmath.isfinite, row)):
+        for row, ps, zs, fs in zip(batched.tolist(), p_rows, *batch):
+            if ps is None or not all(map(cmath.isfinite, row)):
                 with pytest.raises(NumericalFailureError):
-                    _advance(*(rows[k] for rows in batch), threshold)
+                    _step(zs, fs, complex(-alpha), rg, epsilon, threshold)
             else:
-                got, step = _advance(*(rows[k] for rows in batch), threshold)
+                got, step, size = _step(zs, fs, complex(-alpha), rg, epsilon, threshold)
                 rounded = _snap(row, threshold)
                 assert _bits(got) == _bits(rounded)
-                zs = batch[0][k]
                 assert _bits([step]) == _bits([_norm([y - x for y, x in zip(rounded, zs)])])
+                assert _bits([size]) == _bits([_norm(rounded)])
 
     @settings(max_examples=200)
     @given(_EDGE_VECTORS, st.integers(min_value=1, max_value=12))
     def test_round_iterate_matches_component_loop(self, zs, m):
         v = np.array(zs, dtype=np.complex128)
         assert _bits(round_iterate(v, m)) == _bits(_ref_round(v, m))
+
+
+# components on each branch of a P entry: zero of either sign, the exact
+# positive real axis (z.real ** -alpha), the negative real axis, and off the
+# real axis (exp(-alpha log z)), at ordinary and extreme magnitudes
+_P_COMPONENTS = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]),
+    st.builds(complex, st.floats(5e-324, 1e300), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.floats(-1e300, -5e-324), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    st.builds(complex, st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+)
+_STEP_INPUTS = st.lists(_P_COMPONENTS, min_size=1, max_size=4).flatmap(
+    lambda zs: st.tuples(
+        st.just(zs),
+        st.lists(st.builds(complex, _BATCH_PARTS, _BATCH_PARTS), min_size=len(zs),
+                 max_size=len(zs)),
+    )
+)
+
+
+class TestStepKernel:
+    @settings(max_examples=300)
+    @given(_STEP_INPUTS, _ORDERS, _EPSILONS, st.integers(min_value=1, max_value=12))
+    @example(([1e-300 + 0j], [1 + 0j]), 1.9, 1e-3, 5)  # the P entry overflows
+    @example(([0j, 2 + 0j, -2 + 0j, 1 + 1j], [1j, 1 + 0j, 1 + 0j, 1 + 0j]), 0.5, 1e-3, 5)
+    def test_p_entries_are_build_p_matrix(self, inputs, alpha, epsilon, m):
+        # fpn_step runs the engine's kernel, which forms its P entries inline:
+        # it must give Rnd_m(x - build_p_matrix(x) f(x)) bit for bit, and fail
+        # where build_p_matrix or that update does
+        zs, fs = inputs
+        x = vec(*zs)
+        target = TargetFunction("fixed", len(zs), lambda v: vec(*fs))
+        config = FpnConfig(alpha=alpha, epsilon=epsilon, round_exponent_m=m)
+        try:
+            p = build_p_matrix(x, config)
+        except NumericalFailureError:
+            with pytest.raises(NumericalFailureError):
+                fpn_step(x, target, config)
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _split_update(x, p, vec(*fs))
+        if not _ref_all_finite(y):
+            with pytest.raises(NumericalFailureError):
+                fpn_step(x, target, config)
+        else:
+            assert _bits(fpn_step(x, target, config)) == _bits(round_iterate(y, m))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(["poly", "example3"]),
+        # any order, or one of the acceptance ex3 grid's, where runs also
+        # converge and reach 500 iterations
+        st.lists(st.one_of(_ORDERS, st.floats(0.65, 1.3)), min_size=1, max_size=12),
+        st.integers(min_value=2, max_value=5),
+    )
+    def test_block_size_does_not_change_records(self, name, alphas, rows):
+        # a run's record does not depend on the runs beside it: one row a
+        # block, a few rows (so runs that end are replaced mid-sweep) and the
+        # default block give the same records bit for bit
+        target, x0 = {
+            "poly": (polynomial([1, 0, -1]), vec(3)),
+            "example3": (example3_system(), vec(0.86, 0.86)),
+        }[name]
+        config = FpnConfig(alpha=0.5)
+        records = [solver._solve(target, x0, config, alphas)]
+        for size in (1, rows):
+            with mock.patch.object(solver, "_BLOCK_ROWS", size):
+                records.append(solver._solve(target, x0, config, alphas))
+        default, *others = ([_record_bits(r) for r in recs] for recs in records)
+        assert all(o == default for o in others)
