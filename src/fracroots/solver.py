@@ -23,7 +23,7 @@ from .errors import (
     InsufficientDataError,
     NumericalFailureError,
 )
-from .fracderiv import INTEGER_GUARD, complex_power, recip_gamma
+from .fracderiv import INTEGER_GUARD, recip_gamma
 
 if TYPE_CHECKING:
     from .targets import TargetFunction
@@ -120,21 +120,20 @@ _BLOCK_ROWS = 256
 
 
 def as_complex_vector(x) -> np.ndarray:
+    # returns a 1-d complex128 ndarray, such as a target's value, as it is
+    if type(x) is np.ndarray and x.dtype == np.complex128 and x.ndim == 1:
+        return x
     v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     if v.ndim != 1:
         raise DomainError(f"expected a 1-d complex vector, got shape {v.shape}")
     return v
 
 
-def _target_vector(fx) -> np.ndarray:
-    # as_complex_vector, skipped on the 1-d complex128 arrays targets return
-    if type(fx) is np.ndarray and fx.dtype == np.complex128 and fx.ndim == 1:
-        return fx
-    return as_complex_vector(fx)
-
-
-def _all_finite(zs: list[complex]) -> bool:
-    return all(map(cmath.isfinite, zs))
+def _finite(zs: list[complex], label: str) -> list[complex]:
+    # zs, once every component is finite; label names the point in the error
+    if not all(map(cmath.isfinite, zs)):
+        raise DomainError(f"{label} must be finite")
+    return zs
 
 
 def _norm(zs: list[complex]) -> float:
@@ -150,32 +149,19 @@ def _norm(zs: list[complex]) -> float:
     return math.sqrt(s)
 
 
-def _p_entries(zs: list[complex], alpha: float, rg: float, epsilon: float) -> list[complex]:
-    # build_p_matrix on components zs, with rg = 1/Gamma(1 - alpha): the
-    # rl_deriv_constant formula written out.  Every entry is complex, so the
-    # update multiplies complex by complex also on Pythons that multiply a
-    # float into a complex componentwise (3.14).  _step forms the same
-    # entries inline, and a test holds the two to the same bits
-    entries = []
-    for k, z in enumerate(zs):
-        if z == 0:  # beta is 1 here, and 1/Gamma(0) = 0 leaves epsilon
-            entries.append(complex(epsilon))
-            continue
-        try:
-            entries.append(rg * complex_power(z, -alpha) + epsilon)
-        except OverflowError as exc:
-            raise NumericalFailureError(f"P-matrix entry overflowed at component {k}") from exc
-    if not _all_finite(entries):
-        raise NumericalFailureError("P-matrix contains non-finite entries")
-    return entries
-
-
 def build_p_matrix(x, config: FpnConfig) -> np.ndarray:
     """Diagonal of P evaluated at x: z^(-beta)/Gamma(1-beta) + epsilon per
-    component, collapsing to plain epsilon on zero components."""
+    component, collapsing to plain epsilon on zero components.  The entries
+    are the ones the solver's update uses, bit for bit.  A point that is not
+    finite raises DomainError, and an entry that overflows or is not finite
+    raises NumericalFailureError."""
+    zs = _finite(as_complex_vector(x).tolist(), "point")
     alpha = config.alpha
-    entries = _p_entries(
-        as_complex_vector(x).tolist(), alpha, recip_gamma(1.0 - alpha), config.epsilon
+    entries: list[complex] = []
+    # with f(x) = 0 the update is x itself wherever P is finite
+    _step(
+        zs, [0j] * len(zs), complex(-alpha), recip_gamma(1.0 - alpha), config.epsilon, 0.0,
+        entries,
     )
     return np.array(entries, dtype=np.complex128)
 
@@ -192,16 +178,20 @@ def round_iterate(x, m: int) -> np.ndarray:
 
 def _step(
     zs: list[complex], fs: list[complex], mw: complex, rg: float, epsilon: float,
-    threshold: float,
+    threshold: float, p_out: list[complex] | None = None,
 ) -> tuple[list[complex], float, float]:
     # One update in one pass over the components: y = Rnd_m(x - P f(x)) for
     # x = zs and f(x) = fs, its step norm _norm(y - x) and its norm _norm(y).
     # mw = complex(-alpha) and rg = 1/Gamma(1 - alpha); each P entry is
-    # _p_entries' with complex_power's branches written out, and
-    # NumericalFailureError is raised where an entry overflows or a component
-    # of y is not finite.  An entry that is not finite needs no check of its
-    # own: each of its parts multiplies both parts of w, so its y is not
-    # finite either.  Python rounds each real multiply and add of p * w on
+    # rl_deriv_constant's formula with complex_power's branches written out,
+    # and is appended to p_out if one is given.  NumericalFailureError is
+    # raised where an entry overflows or a component of y is not finite.  An
+    # entry that is not finite needs no check of its own: each of its parts
+    # multiplies both parts of w, so its y is not finite either.  Every entry
+    # is complex, so p * w multiplies complex by complex also on Pythons that
+    # multiply a float into a complex componentwise (3.14); there rg * e and
+    # + epsilon, which mix a float into a complex, may give a zero part of
+    # the other sign.  Python rounds each real multiply and add of p * w on
     # its own, so split real numpy arithmetic on a (B, n) batch gives the
     # same bits.
     ys = []
@@ -219,9 +209,11 @@ def _step(
                 raise NumericalFailureError(
                     f"P-matrix entry overflowed at component {len(ys)}"
                 ) from exc
+        if p_out is not None:
+            p_out.append(p)
         y = z - p * w
         if not cmath.isfinite(y):
-            raise NumericalFailureError("iterate contains non-finite components")
+            raise NumericalFailureError(f"P entry or iterate not finite at component {len(ys)}")
         if abs(y.imag) <= threshold:  # _snap
             y = complex(y.real, 0.0)
         ys.append(y)
@@ -261,8 +253,7 @@ def _start(f: "TargetFunction", x0, label: str) -> np.ndarray:
     x = as_complex_vector(x0)
     if x.shape[0] != f.dimension:
         raise DomainError(f"{label} has dimension {x.shape[0]}, target needs {f.dimension}")
-    if not _all_finite(x.tolist()):
-        raise DomainError(f"{label} must be finite")
+    _finite(x.tolist(), label)
     return x
 
 
@@ -286,7 +277,7 @@ def _verdict(
 def _evaluate_one(f: "TargetFunction", zs: list[complex]) -> list[complex] | None:
     # f at one iterate, None where the target fails
     try:
-        return _target_vector(f.evaluate(np.array(zs, dtype=np.complex128))).tolist()
+        return as_complex_vector(f.evaluate(np.array(zs, dtype=np.complex128))).tolist()
     except TARGET_FAILURES:
         return None
 

@@ -29,9 +29,9 @@ from fracroots.solver import (
     RootRecord,
     SolveStatus,
     _norm,
-    _p_entries,
     _snap,
     _step,
+    as_complex_vector,
     build_p_matrix,
     estimate_convergence_order,
     fpn_solve,
@@ -134,7 +134,7 @@ class TestBuildPMatrix:
     def test_matches_constant_kernel(self):
         cfg = FpnConfig(alpha=-1.3, epsilon=1e-3)
         diag = build_p_matrix(vec(2.5 + 1j), cfg)
-        # _p_entries writes out rl_deriv_constant's formula, and keeps its bits
+        # the P entries write out rl_deriv_constant's formula, and keep its bits
         expected = complex(rl_deriv_constant(1.0, FracOrder(-1.3), 2.5 + 1j)) + 1e-3
         assert diag[0] == expected
 
@@ -145,11 +145,27 @@ class TestBuildPMatrix:
         with pytest.raises(NumericalFailureError):
             fpn_step(vec(1e-300 + 0j), polynomial([1, -1]), FpnConfig(alpha=1.9))
 
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(math.nan, 0.0)])
+    def test_point_that_is_not_finite_is_rejected(self, z):
+        # as an initial condition is; at inf + 0j the entry would be epsilon
+        with pytest.raises(DomainError, match="^point must be finite$"):
+            build_p_matrix(vec(1 + 0j, z), FpnConfig(alpha=0.5))
+
     @settings(max_examples=50)
     @given(st.floats(min_value=1e-3, max_value=1e4))
     def test_real_positive_entries_are_real(self, x):
         diag = build_p_matrix(vec(complex(x, 0.0)), FpnConfig(alpha=0.5))
         assert diag[0].imag == 0.0
+
+
+class TestAsComplexVector:
+    def test_complex_vector_is_returned_unchanged(self):
+        v = vec(1 + 2j, 3)
+        assert as_complex_vector(v) is v
+
+    def test_two_dimensional_input_is_rejected(self):
+        with pytest.raises(DomainError, match="expected a 1-d complex vector"):
+            as_complex_vector(np.zeros((2, 2), dtype=np.complex128))
 
 
 class TestRoundIterate:
@@ -688,17 +704,18 @@ class TestBookkeepingProperties:
     @example(([[1e-300 + 0j]], [[1 + 0j]]), 1.9, 1e-3, 5)  # the P entry overflows
     def test_update_is_reproduced_by_batched_numpy(self, batch, alpha, epsilon, m):
         # the contract a (B, n) engine relies on for x - P f(x): P rows from
-        # _p_entries, split real arithmetic over the whole batch, then Rnd_m,
+        # _ref_p_matrix, split real arithmetic over the whole batch, then Rnd_m,
         # give each row's _step iterate bit for bit; its step is _norm of the
         # rounded row minus z and its size _norm of the rounded row; and a row
         # whose P entry overflows or is not finite, or whose update is not
         # finite, fails as _step does
         rg = recip_gamma(1.0 - alpha)
         threshold = 10.0 ** (-m)
+        config = FpnConfig(alpha=alpha, epsilon=epsilon)
         p_rows = []
         for zs in batch[0]:
             try:
-                p_rows.append(_p_entries(zs, alpha, rg, epsilon))
+                p_rows.append(_ref_p_matrix(vec(*zs), config).tolist())
             except NumericalFailureError:
                 p_rows.append(None)
         # a failed P row is 0 here; its update is not compared
@@ -749,19 +766,24 @@ class TestStepKernel:
     @example(([1e-300 + 0j], [1 + 0j]), 1.9, 1e-3, 5)  # the P entry overflows
     @example(([0j, 2 + 0j, -2 + 0j, 1 + 1j], [1j, 1 + 0j, 1 + 0j, 1 + 0j]), 0.5, 1e-3, 5)
     def test_p_entries_are_build_p_matrix(self, inputs, alpha, epsilon, m):
-        # fpn_step runs the engine's kernel, which forms its P entries inline:
-        # it must give Rnd_m(x - build_p_matrix(x) f(x)) bit for bit, and fail
-        # where build_p_matrix or that update does
+        # fpn_step runs the engine's kernel, and build_p_matrix reads the P
+        # entries it forms inline.  Against _ref_p_matrix, written from
+        # complex_power: build_p_matrix must give its entries bit for bit,
+        # fpn_step must give Rnd_m(x - P f(x)) bit for bit, and both must fail
+        # where _ref_p_matrix or that update does
         zs, fs = inputs
         x = vec(*zs)
         target = TargetFunction("fixed", len(zs), lambda v: vec(*fs))
         config = FpnConfig(alpha=alpha, epsilon=epsilon, round_exponent_m=m)
         try:
-            p = build_p_matrix(x, config)
+            p = _ref_p_matrix(x, config)
         except NumericalFailureError:
+            with pytest.raises(NumericalFailureError):
+                build_p_matrix(x, config)
             with pytest.raises(NumericalFailureError):
                 fpn_step(x, target, config)
             return
+        assert _bits(build_p_matrix(x, config)) == _bits(p)
         with np.errstate(over="ignore", invalid="ignore"):
             y = _split_update(x, p, vec(*fs))
         if not _ref_all_finite(y):
